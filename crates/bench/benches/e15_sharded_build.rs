@@ -7,7 +7,7 @@
 //!   conflict-scan job per `(relation, FD)` shard, stage 2 one assembly job per
 //!   relation, stage 3 stitches `comp_offset`s sequentially (bit-identical output at
 //!   every degree);
-//! * `revalidate` — [`EngineSnapshot::with_priority_revalidated`] on a warmed skewed
+//! * `revalidate` — [`EngineSnapshot::derive`] of a priority change on a warmed skewed
 //!   instance: only the components the priority change touches are re-enumerated,
 //!   fanned across workers largest-first;
 //! * `query_skewed` — one certain-answer query over a skewed repair product, exercising
@@ -20,7 +20,9 @@
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pdqi_core::{EngineBuilder, EngineSnapshot, FamilyKind, Parallelism, PreparedQuery, Semantics};
+use pdqi_core::{
+    Change, EngineBuilder, EngineSnapshot, FamilyKind, Parallelism, PreparedQuery, Semantics,
+};
 use pdqi_datagen::{multi_chain_relations, skewed_chain_instance};
 use pdqi_relation::TupleId;
 
@@ -76,14 +78,15 @@ fn bench(c: &mut Criterion) {
         &[(TupleId(0), TupleId(1))],
     )
     .expect("priority over the largest chain");
+    let change = Change::Priority { relation: "R".to_string(), priority };
     for workers in WORKERS {
         group.bench_with_input(
             BenchmarkId::new("revalidate/threads", workers),
             &workers,
             |b, &n| {
                 b.iter(|| {
-                    let derived = warm_base
-                        .with_priority_revalidated(priority.clone(), Parallelism::threads(n))
+                    let (derived, _) = warm_base
+                        .derive(&change, Parallelism::threads(n))
                         .expect("revalidated derivation");
                     // Revalidation already recomputed the dropped entries: Global and
                     // Local of the touched component, nothing else.

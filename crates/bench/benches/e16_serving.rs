@@ -21,7 +21,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use pdqi_core::{EngineBuilder, FamilyKind, Parallelism, PreparedQuery, SnapshotRegistry};
+use pdqi_core::{Change, EngineBuilder, FamilyKind, Parallelism, PreparedQuery, SnapshotRegistry};
 use pdqi_datagen::{revision_trace, TraceEvent};
 use pdqi_priority::Priority;
 use pdqi_server::{serve, Client, ExecMode, ExecSpec, ServerConfig};
@@ -120,19 +120,24 @@ fn bench(c: &mut Criterion) {
     stop.store(true, Ordering::Relaxed);
     publisher.join().expect("publisher stops cleanly");
 
-    // The publish path itself, without the wire: derive + revalidate + swap.
+    // The publish path itself, without the wire: one priority-change commit (derive +
+    // re-enumerate + swap).
     let mut index = 0usize;
     group.bench_function("swap/revise", |b| {
         b.iter(|| {
             let pairs = &revisions[index % revisions.len()];
             index += 1;
             registry
-                .revise("R", |current| {
+                .commit("R", None, Parallelism::sequential(), |current| {
                     let graph = Arc::clone(current.context().graph());
                     let priority = Priority::from_pairs(graph, pairs)?;
-                    current.with_priority_revalidated(priority, Parallelism::sequential())
+                    Ok::<_, pdqi_priority::PriorityError>(Change::Priority {
+                        relation: "R".to_string(),
+                        priority,
+                    })
                 })
                 .unwrap()
+                .0
         })
     });
 

@@ -4,7 +4,7 @@
 //! Three measurements per instance size (`chains` independent 6-tuple conflict
 //! chains, the factorised shape the paper's components give us):
 //!
-//! * `delta_apply/<chains>` — `EngineSnapshot::with_mutations` on a warmed base:
+//! * `delta_apply/<chains>` — `EngineSnapshot::derive` of a mutation on a warmed base:
 //!   one deleted chain-interior tuple (a component split) plus one inserted
 //!   conflicting tuple (a component grows). Only the two affected components are
 //!   re-partitioned and re-enumerated; every other `(component, family)` memo entry
@@ -13,7 +13,7 @@
 //!   fresh `EngineBuilder` build of the mutated row list plus re-warming the families
 //!   the base had memoised (the delta-derived snapshot arrives warm, so a fair
 //!   comparison must re-warm too).
-//! * `revise/<chains>` — `with_priority_revalidated` for scale: the other derivation
+//! * `revise/<chains>` — `derive` of a priority change for scale: the other derivation
 //!   the registry publishes, invalidating one component's priority-sensitive entries.
 //!
 //! The gap between `delta_apply` and `full_rebuild` grows with the number of
@@ -24,7 +24,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use pdqi_core::{EngineBuilder, EngineSnapshot, FamilyKind, Mutation, Parallelism};
+use pdqi_core::{Change, EngineBuilder, FamilyKind, Mutation, Parallelism};
 use pdqi_datagen::multi_chain_instance;
 use pdqi_relation::{RelationInstance, TupleId, Value};
 
@@ -56,11 +56,10 @@ fn bench(c: &mut Criterion) {
         let split_victim = rows[2].clone();
         let grow = vec![rows[6][0].clone(), Value::int(9), Value::int(9_000_000), Value::int(9)];
         let mutation = Mutation::new().delete("R", split_victim.clone()).insert("R", grow.clone());
+        let change = Change::Mutation(mutation);
 
         group.bench_function(format!("delta_apply/{chains}"), |b| {
-            b.iter(|| {
-                base.with_mutations(&mutation, Parallelism::sequential()).expect("delta applies")
-            })
+            b.iter(|| base.derive(&change, Parallelism::sequential()).expect("delta applies"))
         });
 
         // The pre-subsystem alternative: rebuild the mutated row list and re-warm.
@@ -92,12 +91,8 @@ fn bench(c: &mut Criterion) {
                     .context()
                     .priority_from_pairs(&[(TupleId(0), TupleId(1))])
                     .expect("chain edge orients");
-                EngineSnapshot::with_priority_revalidated(
-                    &base,
-                    priority,
-                    Parallelism::sequential(),
-                )
-                .expect("revision derives")
+                let change = Change::Priority { relation: "R".to_string(), priority };
+                base.derive(&change, Parallelism::sequential()).expect("revision derives")
             })
         });
     }

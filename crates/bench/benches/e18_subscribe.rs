@@ -25,16 +25,23 @@
 //! microseconds where one re-execution costs milliseconds and up.
 
 use std::collections::BTreeSet;
+use std::convert::Infallible;
 use std::sync::Arc;
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pdqi_core::{
-    EngineBuilder, FamilyKind, Mutation, Parallelism, PreparedQuery, Semantics, SnapshotRegistry,
-    SubscriptionManager,
+    Change, EngineBuilder, EngineSnapshot, FamilyKind, Mutation, Parallelism, PreparedQuery,
+    Semantics, SnapshotRegistry, SubscriptionManager,
 };
 use pdqi_datagen::{multi_chain_instance, multi_chain_relations};
 use pdqi_relation::Value;
+
+/// Commits `mutation` to `table` as one delta derivation and swap.
+fn apply(registry: &SnapshotRegistry, table: &str, mutation: &Mutation, parallelism: Parallelism) {
+    let change = |_: &EngineSnapshot| Ok::<_, Infallible>(Change::Mutation(mutation.clone()));
+    registry.commit(table, None, parallelism, change).unwrap();
+}
 
 const QUERY: &str = "EXISTS b,c,d . R(x,b,c,d)";
 
@@ -73,9 +80,9 @@ fn bench(c: &mut Criterion) {
                 .unwrap();
             group.bench_function(format!("push/{chains}"), |b| {
                 b.iter(|| {
-                    registry.apply("R", &insert, parallelism).unwrap();
+                    apply(&registry, "R", &insert, parallelism);
                     let up = manager.drain(sub.id);
-                    registry.apply("R", &delete, parallelism).unwrap();
+                    apply(&registry, "R", &delete, parallelism);
                     let down = manager.drain(sub.id);
                     assert_eq!(up.len() + down.len(), 2, "both swaps change the answer");
                     (up, down)
@@ -108,7 +115,7 @@ fn bench(c: &mut Criterion) {
                 b.iter(|| {
                     let mut changes = 0usize;
                     for mutation in [&insert, &delete] {
-                        registry.apply("R", mutation, parallelism).unwrap();
+                        apply(&registry, "R", mutation, parallelism);
                         let lease = registry.read("R").unwrap();
                         let rows = query
                             .execute_with(
@@ -153,8 +160,8 @@ fn bench(c: &mut Criterion) {
             let other_delete = Mutation::new().delete("R1", row.clone());
             group.bench_function(format!("skip/{chains}"), |b| {
                 b.iter(|| {
-                    registry.apply("R1", &other_insert, parallelism).unwrap();
-                    registry.apply("R1", &other_delete, parallelism).unwrap();
+                    apply(&registry, "R1", &other_insert, parallelism);
+                    apply(&registry, "R1", &other_delete, parallelism);
                     let events = manager.drain(sub.id);
                     assert!(events.is_empty(), "unrelated swaps must be proven away");
                     events

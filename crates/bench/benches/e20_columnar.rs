@@ -8,7 +8,7 @@
 //!   gather) versus the row-at-a-time interpreter. Both paths are pinned
 //!   bit-identical, so the gap is pure evaluation cost.
 //! * `fd_delta`/`fd_rebuild` — adding one functional dependency to a warmed
-//!   snapshot through [`EngineSnapshot::with_fd_added`] (new edges only in the
+//!   snapshot through [`EngineSnapshot::derive`] of a [`pdqi_core::Change::AddFd`] (new edges only in the
 //!   added FD's LHS groups, untouched components carry their memo entries) versus
 //!   the pre-delta alternative: a fresh `EngineBuilder` build under the extended
 //!   FD set plus re-warming what the base had memoised.
@@ -21,7 +21,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pdqi_constraints::{FdSet, FunctionalDependency};
-use pdqi_core::{EngineBuilder, EngineSnapshot, FamilyKind, Parallelism};
+use pdqi_core::{Change, EngineBuilder, EngineSnapshot, FamilyKind, Parallelism};
 use pdqi_datagen::multi_chain_instance;
 use pdqi_query::{parse_formula, Evaluator};
 use pdqi_relation::{ColumnarView, RelationInstance, RelationSchema, Value, ValueType};
@@ -123,11 +123,9 @@ fn bench(c: &mut Criterion) {
         for kind in WARM {
             base.warm_components(kind, Parallelism::sequential());
         }
+        let change = Change::AddFd { relation: "R".to_string(), fd: added.clone() };
         group.bench_function(format!("fd_delta/{chains}"), |b| {
-            b.iter(|| {
-                base.with_fd_added("R", added.clone(), Parallelism::sequential())
-                    .expect("delta derives")
-            })
+            b.iter(|| base.derive(&change, Parallelism::sequential()).expect("delta derives"))
         });
         group.bench_function(format!("fd_rebuild/{chains}"), |b| {
             b.iter(|| {

@@ -5,11 +5,11 @@
 //! 2-chain instance with one attached per-generation subscriber):
 //!
 //! * `coalesced/<k>` — the PR 10 path: the burst enters the [`WriteCoalescer`] as k
-//!   frames folded into **one** net `Mutation`, one `with_mutations` derivation, one
+//!   frames folded into **one** net `Mutation`, one derivation, one
 //!   swap and one pushed delta (then the mirror-image delete burst restores the
 //!   instance the same way). Per iteration: 2 derivations, 2 pushes, regardless of k.
 //! * `pergen/<k>` — what the same burst cost before: k sequential
-//!   `SnapshotRegistry::apply` calls, each deriving its own snapshot, publishing its
+//!   `SnapshotRegistry::commit` calls, each deriving its own snapshot, publishing its
 //!   own swap and pushing its own delta (drained after every swap, as the server's
 //!   push cycle would). Per iteration: 2k derivations, 2k pushes.
 //!
@@ -17,16 +17,23 @@
 //! side's fold is a row-set replay (cheap), while every per-generation swap pays a
 //! delta derivation plus a subscriber re-execution.
 
+use std::convert::Infallible;
 use std::sync::Arc;
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pdqi_core::{
-    EngineBuilder, FamilyKind, Mutation, Parallelism, PreparedQuery, Semantics, SnapshotRegistry,
-    SubscriptionManager, WriteCoalescer, WriteFrame,
+    Change, EngineBuilder, EngineSnapshot, FamilyKind, Mutation, Parallelism, PreparedQuery,
+    Semantics, SnapshotRegistry, SubscriptionManager, WriteCoalescer, WriteFrame,
 };
 use pdqi_datagen::multi_chain_instance;
 use pdqi_relation::Value;
+
+/// Commits `mutation` to `table` as one delta derivation and swap.
+fn apply(registry: &SnapshotRegistry, table: &str, mutation: &Mutation, parallelism: Parallelism) {
+    let change = |_: &EngineSnapshot| Ok::<_, Infallible>(Change::Mutation(mutation.clone()));
+    registry.commit(table, None, parallelism, change).unwrap();
+}
 
 const QUERY: &str = "EXISTS b,c,d . R(x,b,c,d)";
 
@@ -113,7 +120,7 @@ fn bench(c: &mut Criterion) {
                 b.iter(|| {
                     let mut pushed = 0usize;
                     for mutation in inserts.iter().chain(&deletes) {
-                        registry.apply("R", mutation, parallelism).unwrap();
+                        apply(&registry, "R", mutation, parallelism);
                         pushed += manager.drain(sub.id).len();
                     }
                     assert_eq!(pushed, 2 * k, "one delta per swap");

@@ -23,16 +23,11 @@
 //!   [`Arc`](std::sync::Arc)-shared snapshot per table with generation counters, the
 //!   structure SQL sessions and the `pdqi-server` network front end serve from
 //!   ([`registry`]),
-//! * the **incremental delta-maintenance subsystem**: a [`Mutation`] batch of row
-//!   inserts/deletes derives a snapshot for the mutated instance through
-//!   [`EngineSnapshot::with_mutations`] — re-partitioning only the affected conflict
-//!   components and carrying over every untouched memo entry, bit-identical to a
-//!   fresh build ([`delta`]),
-//! * the **schema-delta subsystem**: `ALTER TABLE … ADD FD` derives a snapshot through
-//!   [`EngineSnapshot::with_fd_added`] — scanning only the new FD's LHS groups for
-//!   edges, re-partitioning only the components those edges touch, and sharing the
-//!   whole parent (graph, memo, columnar views) when the FD adds no edge at all
-//!   ([`schema_delta`]),
+//! * **snapshot derivation**: a [`Change`] — a priority revision, a [`Mutation`] batch
+//!   of row inserts/deletes, or an added FD — derives a new snapshot through
+//!   [`EngineSnapshot::derive`], re-partitioning only the affected conflict components
+//!   and carrying over every untouched memo entry, bit-identical to a fresh build; the
+//!   registry publishes it through [`SnapshotRegistry::commit`] ([`change`]),
 //! * the **continuous-query subsystem**: a [`SubscriptionManager`] observes registry
 //!   generation swaps and pushes incremental [`AnswerDelta`]s to registered prepared
 //!   queries — proving answers unchanged from the swap's [`ChangeScope`] (and skipping
@@ -85,18 +80,21 @@
 //! assert_eq!(certain.count(), 2);                  // Mary and John manage in every repair
 //!
 //! // Preferences revise cheaply: only affected components are recomputed.
+//! use pdqi_core::{Change, Parallelism};
 //! let priority = snapshot.context().priority_from_pairs(&[]).unwrap();
-//! let revised = snapshot.with_priority(priority).unwrap();
+//! let change = Change::Priority { relation: "Mgr".to_string(), priority };
+//! let (revised, report) = snapshot.derive(&change, Parallelism::sequential()).unwrap();
 //! assert_eq!(revised.count_repairs(), 3);
+//! assert_eq!(report.recomputed_entries, 0);        // the empty priority changed nothing
 //! ```
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod change;
 pub mod clean;
 pub mod cqa;
 pub mod cqa_ground;
-pub mod delta;
 pub mod families;
 pub mod hyper;
 pub mod optimality;
@@ -105,15 +103,14 @@ pub mod prepared;
 pub mod properties;
 pub mod registry;
 pub mod repair;
-pub mod schema_delta;
 pub mod shard_plan;
 pub mod snapshot;
 pub mod subscribe;
 pub mod window;
 
+pub use change::{Change, ChangeError, ChangeReport, Mutation};
 pub use clean::{clean_with_total_priority, CleaningError};
 pub use cqa::{preferred_consistent_answer, CqaOutcome};
-pub use delta::{Mutation, MutationError, MutationReport};
 pub use families::{
     AllRepairs, CommonOptimal, FamilyKind, GlobalOptimal, LocalOptimal, RepairFamily,
     SemiGlobalOptimal,
@@ -132,7 +129,6 @@ pub use registry::{
     SwapObserver, TableStats,
 };
 pub use repair::RepairContext;
-pub use schema_delta::{FdDeltaError, FdDeltaReport};
 pub use shard_plan::{RouteSpec, ShardPlan, ShardPlanError};
 pub use snapshot::{BuildError, EngineBuilder, EngineSnapshot, MemoStats, Shard};
 pub use subscribe::{

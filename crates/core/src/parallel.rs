@@ -22,9 +22,8 @@
 //!   concurrently (the multi-user serving shape), one query per worker at a time;
 //! * [`EngineBuilder::build`](crate::EngineBuilder::build) fans conflict-graph shard
 //!   scans and relation assembly out per `(relation, FD)` and per relation, and
-//!   [`EngineSnapshot::with_priority_revalidated`](crate::EngineSnapshot::with_priority_revalidated)
-//!   re-enumerates the invalidated memo entries across workers (see the shard-layer
-//!   docs in [`crate::snapshot`]).
+//!   [`EngineSnapshot::derive`](crate::EngineSnapshot::derive) re-enumerates the
+//!   invalidated memo entries across workers (see [`crate::change`]).
 //!
 //! The pool is dependency-free: plain [`std::thread::scope`] workers pulling job indices
 //! from an atomic counter. Nothing here allocates threads when

@@ -1492,7 +1492,8 @@ mod tests {
     #[test]
     fn parallel_execution_is_bit_identical_to_sequential() {
         let (ctx, priority) = example9();
-        let snapshot = snapshot_of(&ctx).with_priority(priority).unwrap();
+        let change = crate::Change::Priority { relation: "R".to_string(), priority };
+        let snapshot = snapshot_of(&ctx).derive(&change, Parallelism::sequential()).unwrap().0;
         let queries = [
             PreparedQuery::parse("EXISTS b,c,d . R(a,b,c,d)").unwrap(),
             PreparedQuery::parse("EXISTS a,c,d . R(a,b,c,d) AND b >= 0").unwrap(),
@@ -1788,7 +1789,8 @@ mod tests {
         let (ctx, priority) = example9();
         let query = PreparedQuery::parse("R(1,1,0,0)").unwrap();
         let base = snapshot_of(&ctx);
-        let with_priority = base.with_priority(priority).unwrap();
+        let change = crate::Change::Priority { relation: "R".to_string(), priority };
+        let with_priority = base.derive(&change, Parallelism::sequential()).unwrap().0;
         // One prepared query, three snapshots: the plain one, the derived one, and a
         // fresh build; answers agree between derived and fresh.
         let fresh = EngineBuilder::new()

@@ -12,12 +12,17 @@
 //!   lock is held only for the `Arc` bump, never across a query), so a request is
 //!   answered entirely against one snapshot **generation** — bit-identical to calling
 //!   [`crate::PreparedQuery::execute`] on that snapshot directly;
-//! * **revisions build off the serving path**: [`SnapshotRegistry::revise`] derives the
-//!   replacement (typically through
-//!   [`EngineSnapshot::with_priority_revalidated`](crate::EngineSnapshot::with_priority_revalidated)
-//!   or a fresh [`crate::EngineBuilder`] build) while readers keep serving the old
-//!   snapshot, then swaps the slot. Writers of one table — revisions *and* direct
-//!   publishes — serialise on a per-table lock; readers never block on a build;
+//! * **writes build off the serving path**: [`SnapshotRegistry::commit`] derives the
+//!   replacement from a [`Change`] through
+//!   [`EngineSnapshot::derive`](crate::EngineSnapshot::derive) while readers keep
+//!   serving the old snapshot, then swaps the slot; [`SnapshotRegistry::revise_scoped`]
+//!   does the same for an opaque replacement. Writers of one table — commits,
+//!   revisions *and* direct publishes — serialise on a per-table lock; readers never
+//!   block on a build;
+//! * **a panic never bricks a table**: a panicking change closure, derivation or swap
+//!   observer is contained at the write path — the slot keeps its last good generation
+//!   (or, for an observer, the swap stands), the writer gets [`ReviseError::Panicked`],
+//!   and [`RegistryStats::panics`] counts it;
 //! * every slot carries a monotone **generation counter** plus read/swap statistics, so
 //!   front ends can observe swap progress and tests can pin generation monotonicity.
 //!
@@ -25,12 +30,14 @@
 //! sharing one registry serve one snapshot set — and the `pdqi-server` crate puts a
 //! network front end on the same structure.
 
+use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
-use crate::delta::{Mutation, MutationError, MutationReport};
+use crate::change::{Change, ChangeError, ChangeReport};
 use crate::parallel::Parallelism;
 use crate::snapshot::EngineSnapshot;
 
@@ -41,12 +48,13 @@ use crate::snapshot::EngineSnapshot;
 /// [`ChangeScope::Rebuild`] claims nothing), but it must never under-report — every
 /// relation or component the swap could have touched is included, so "my query's
 /// footprint is disjoint from the scope" is a sound skip rule.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub enum ChangeScope {
     /// The snapshot was replaced wholesale (a direct publish or an opaque revision):
     /// anything may have changed.
+    #[default]
     Rebuild,
-    /// A row-level [`Mutation`] was applied as a delta: only the named relations (and
+    /// A row-level [`crate::Mutation`] was applied as a delta: only the named relations (and
     /// their conflict components) changed; every other relation's tuples, components
     /// and memo entries were carried over verbatim.
     Mutation {
@@ -102,7 +110,8 @@ pub struct SwapEvent<'a> {
 /// A callback invoked after every generation swap — see [`SwapEvent`] for the
 /// ordering guarantees. Observers must be cheap or shed work internally: they run on
 /// the writer's thread, under the per-table writer lock (readers are unaffected, but
-/// other writers of the same table wait).
+/// other writers of the same table wait). A panicking observer is contained: the swap
+/// stands, the remaining observers still run, and [`RegistryStats::panics`] counts it.
 pub trait SwapObserver: Send + Sync {
     /// Called once per swap, after the new snapshot is visible to readers.
     fn on_swap(&self, event: &SwapEvent<'_>);
@@ -184,7 +193,8 @@ pub struct TableStats {
     pub swaps: u64,
 }
 
-/// Registry-wide counters: the sums of every table's [`TableStats`].
+/// Registry-wide counters: the sums of every table's [`TableStats`], plus contained
+/// panics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RegistryStats {
     /// Number of tables currently registered.
@@ -193,15 +203,30 @@ pub struct RegistryStats {
     pub reads: u64,
     /// Total swaps across all tables.
     pub swaps: u64,
+    /// Panics contained at the write path: in change closures, derivations and swap
+    /// observers.
+    pub panics: u64,
 }
 
-/// Errors raised by [`SnapshotRegistry::revise`].
+/// Errors raised by [`SnapshotRegistry::commit`] and [`SnapshotRegistry::revise_scoped`].
+/// Every variant leaves the slot untouched.
 #[derive(Debug)]
 pub enum ReviseError<E> {
     /// The registry has no snapshot published under this table name.
     UnknownTable(String),
-    /// The revision closure failed; the slot was left untouched.
+    /// The table's generation was not the expected one; nothing was built.
+    Conflict {
+        /// The generation the writer expected.
+        expected: u64,
+        /// The generation the table is at.
+        current: u64,
+    },
+    /// The caller's closure failed.
     Build(E),
+    /// The derivation rejected the change.
+    Change(ChangeError),
+    /// The closure or the derivation panicked (the rendered panic message).
+    Panicked(String),
 }
 
 impl<E: fmt::Display> fmt::Display for ReviseError<E> {
@@ -210,7 +235,12 @@ impl<E: fmt::Display> fmt::Display for ReviseError<E> {
             ReviseError::UnknownTable(table) => {
                 write!(f, "registry serves no table `{table}`")
             }
+            ReviseError::Conflict { expected, current } => {
+                write!(f, "table is at generation {current}, expected {expected}")
+            }
             ReviseError::Build(e) => write!(f, "revision failed: {e}"),
+            ReviseError::Change(e) => write!(f, "revision failed: {e}"),
+            ReviseError::Panicked(message) => write!(f, "revision panicked: {message}"),
         }
     }
 }
@@ -243,6 +273,8 @@ pub struct SnapshotRegistry {
     tables: RwLock<BTreeMap<String, Arc<TableSlot>>>,
     /// Swap observers, notified under the per-table writer lock (see [`SwapObserver`]).
     observers: RwLock<Vec<Arc<dyn SwapObserver>>>,
+    /// Panics contained at the write path.
+    panics: AtomicU64,
 }
 
 impl SnapshotRegistry {
@@ -284,15 +316,18 @@ impl SnapshotRegistry {
         }
         let event = SwapEvent { table, generation, snapshot, scope };
         for observer in observers.iter() {
-            observer.on_swap(&event);
+            if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| observer.on_swap(&event)))
+            {
+                self.count_panic(payload.as_ref());
+            }
         }
     }
 
     /// Publishes `snapshot` as `table`'s current snapshot, swapping out whatever was
     /// served before, and returns the new generation (1 for a first publish).
     ///
-    /// Publishes serialise with in-flight [`SnapshotRegistry::revise`] calls on the
-    /// same table (a revision holds the writer lock from base-pin to swap, so it can
+    /// Publishes serialise with in-flight [`SnapshotRegistry::commit`] calls on the
+    /// same table (a commit holds the writer lock from base-pin to swap, so it can
     /// never overwrite a publish it did not see). Readers holding a [`SnapshotLease`]
     /// on the old snapshot keep it alive and keep serving from it; new reads see the
     /// new snapshot.
@@ -303,7 +338,7 @@ impl SnapshotRegistry {
                 // Take the writer lock *after* the map guard dropped — waiting for an
                 // in-flight build while holding the map lock would stall every reader
                 // of every table.
-                let _serialised = slot.revision.lock().expect("registry revision lock");
+                let _serialised = slot.revision.lock().unwrap_or_else(PoisonError::into_inner);
                 if !self.slot_is_current(table, &slot) {
                     // The table was removed (or removed and re-created) while we
                     // waited for the writer lock: swapping into the detached slot
@@ -324,7 +359,7 @@ impl SnapshotRegistry {
             // that finds the slot the moment it lands in the map blocks until our
             // generation-1 notification ran, so observers see generations in order
             // even across the very first publish.
-            let serialised = slot.revision.lock().expect("registry revision lock");
+            let serialised = slot.revision.lock().unwrap_or_else(PoisonError::into_inner);
             {
                 let mut tables = self.tables.write().expect("registry lock");
                 // A racing first publish may have created the slot since the fast
@@ -364,40 +399,75 @@ impl SnapshotRegistry {
         Some(SnapshotLease { snapshot, generation })
     }
 
-    /// Derives and publishes a revision of `table`'s snapshot **off the serving path**:
-    /// `build` runs on the caller's thread against a pinned copy of the current
-    /// snapshot while readers keep serving it; only the final swap touches the slot.
-    /// Returns the new generation.
+    /// Derives and publishes one [`Change`] to `table`'s snapshot **off the serving
+    /// path**: `change` builds the change against a pinned copy of the current snapshot
+    /// while readers keep serving it, [`EngineSnapshot::derive`] applies it (eagerly
+    /// re-enumerating the invalidated slice across `parallelism` workers), and one swap
+    /// publishes the result with the report's [`ChangeScope`]. Returns the new
+    /// generation and what the derivation did.
     ///
-    /// Writers of one table serialise (a second `revise` — or a `publish` — blocks
-    /// until the first has swapped), so no published snapshot is ever lost to a
-    /// build/swap interleaving; reads are never blocked by an in-flight build.
-    pub fn revise<E>(
+    /// With `expected`, the current generation is checked **under the per-table
+    /// revision lock** and a mismatch fails with [`ReviseError::Conflict`] before
+    /// `change` runs — the compare-and-swap a catalog-owning writer (like
+    /// `sql::Session`) needs, since deriving from a snapshot some other writer published
+    /// would silently adopt foreign state. Writers of one table serialise, so no
+    /// published snapshot is lost to a build/swap interleaving.
+    pub fn commit<E>(
         &self,
         table: &str,
-        build: impl FnOnce(&EngineSnapshot) -> Result<EngineSnapshot, E>,
-    ) -> Result<u64, ReviseError<E>> {
-        // A plain revision is opaque: observers are told anything may have changed.
-        self.revise_scoped(table, |base| build(base).map(|s| (s, ChangeScope::Rebuild)))
+        expected: Option<u64>,
+        parallelism: Parallelism,
+        change: impl FnOnce(&EngineSnapshot) -> Result<Change, E>,
+    ) -> Result<(u64, ChangeReport), ReviseError<E>> {
+        self.write(table, expected, |base| {
+            let change = change(base).map_err(ReviseError::Build)?;
+            base.derive(&change, parallelism).map_err(ReviseError::Change)
+        })
     }
 
-    /// [`SnapshotRegistry::revise`] whose builder also states **what changed**: the
-    /// closure returns the replacement snapshot plus the [`ChangeScope`] describing
-    /// the delta, and registered [`SwapObserver`]s receive that scope with the swap
-    /// notification. Use this when the derivation knows its own footprint (e.g.
-    /// [`EngineSnapshot::with_priority_revalidated_reported_for`] reports the touched
-    /// components); an over-approximation is safe, an under-approximation is not.
+    /// Publishes an opaque replacement for `table`'s snapshot: `build` derives it from a
+    /// pinned copy of the current snapshot (under the same writer serialisation as
+    /// [`SnapshotRegistry::commit`]) and states the [`ChangeScope`] observers receive —
+    /// an over-approximation is safe, an under-approximation is not. Returns the new
+    /// generation.
     pub fn revise_scoped<E>(
         &self,
         table: &str,
         build: impl FnOnce(&EngineSnapshot) -> Result<(EngineSnapshot, ChangeScope), E>,
     ) -> Result<u64, ReviseError<E>> {
+        let built = self.write(table, None, |base| {
+            let (snapshot, scope) = build(base).map_err(ReviseError::Build)?;
+            Ok((snapshot, ChangeReport { scope, ..ChangeReport::default() }))
+        });
+        built.map(|(generation, _)| generation)
+    }
+
+    /// The one locked write path: pin the base under the table's revision lock, check
+    /// `expected`, build, swap, notify. A panic in `build` leaves the slot untouched
+    /// and surfaces as [`ReviseError::Panicked`]; the lock is never poisoned.
+    fn write<E>(
+        &self,
+        table: &str,
+        expected: Option<u64>,
+        build: impl FnOnce(&EngineSnapshot) -> Result<(EngineSnapshot, ChangeReport), ReviseError<E>>,
+    ) -> Result<(u64, ChangeReport), ReviseError<E>> {
         let Some(slot) = self.slot(table) else {
             return Err(ReviseError::UnknownTable(table.to_string()));
         };
-        let _serialised = slot.revision.lock().expect("registry revision lock");
-        let base = Arc::clone(&slot.current.lock().expect("registry slot").0);
-        let (revised, scope) = build(&base).map_err(ReviseError::Build)?;
+        let _serialised = slot.revision.lock().unwrap_or_else(PoisonError::into_inner);
+        // All writers hold the revision lock across base-pin → swap, so the generation
+        // read here cannot move before our swap lands.
+        let (base, current) = {
+            let current = slot.current.lock().expect("registry slot");
+            (Arc::clone(&current.0), current.1)
+        };
+        if let Some(expected) = expected.filter(|&expected| expected != current) {
+            return Err(ReviseError::Conflict { expected, current });
+        }
+        let (revised, report) = match panic::catch_unwind(AssertUnwindSafe(|| build(&base))) {
+            Ok(built) => built?,
+            Err(payload) => return Err(ReviseError::Panicked(self.count_panic(payload.as_ref()))),
+        };
         // The table may have been removed (or removed and re-created) during the
         // build; swapping into the detached slot would report success for a revision
         // nobody can ever read. Surface the removal instead.
@@ -406,117 +476,22 @@ impl SnapshotRegistry {
         }
         let revised = Arc::new(revised);
         let generation = slot.swap_in(Arc::clone(&revised));
-        self.notify(table, generation, &revised, &scope);
-        Ok(generation)
+        self.notify(table, generation, &revised, &report.scope);
+        Ok((generation, report))
     }
 
-    /// Applies a [`Mutation`] to `table`'s snapshot **as a delta** and publishes the
-    /// derived snapshot under the per-table revision lock: the replacement is built by
-    /// [`EngineSnapshot::with_mutations`](crate::EngineSnapshot::with_mutations) off the
-    /// serving path (readers keep their leases; only the final swap touches the slot),
-    /// re-partitioning only the affected components and carrying over every untouched
-    /// memo entry — no rebuild. Returns the new generation and what the delta did.
-    ///
-    /// Like [`SnapshotRegistry::revise`], writers of one table serialise, so
-    /// interleaved mutations and priority revisions each get their own generation and
-    /// every published state is derived from the previously published one.
-    pub fn apply(
-        &self,
-        table: &str,
-        mutation: &Mutation,
-        parallelism: Parallelism,
-    ) -> Result<(u64, MutationReport), ReviseError<MutationError>> {
-        let mut report = None;
-        let generation = self.revise_scoped(table, |current| {
-            let (snapshot, applied) = current.with_mutations_reported(mutation, parallelism)?;
-            report = Some(applied);
-            Ok((snapshot, ChangeScope::Mutation { relations: mutation.relation_names() }))
-        })?;
-        Ok((generation, report.expect("a successful revision ran the builder")))
-    }
-
-    /// [`SnapshotRegistry::apply`] guarded by an expected generation, verified **under
-    /// the per-table revision lock**: the delta derives and swaps only if `table`'s
-    /// current generation still equals `expected`; otherwise `Ok(None)` is returned
-    /// and the slot is untouched. This is the compare-and-swap a catalog-owning writer
-    /// (like `sql::Session`) needs — deriving a delta from a snapshot some *other*
-    /// writer published would silently adopt foreign state, so a stale expectation
-    /// must surface as a conflict, not a swap.
-    pub fn apply_if_generation(
-        &self,
-        table: &str,
-        mutation: &Mutation,
-        parallelism: Parallelism,
-        expected: u64,
-    ) -> Result<Option<(u64, MutationReport)>, ReviseError<MutationError>> {
-        let Some(slot) = self.slot(table) else {
-            return Err(ReviseError::UnknownTable(table.to_string()));
-        };
-        let _serialised = slot.revision.lock().expect("registry revision lock");
-        // All writers hold the revision lock across base-pin → swap, so the generation
-        // read here cannot move before our swap lands.
-        let (base, generation) = {
-            let current = slot.current.lock().expect("registry slot");
-            (Arc::clone(&current.0), current.1)
-        };
-        if generation != expected {
-            return Ok(None);
+    /// Counts a contained panic and renders its payload.
+    fn count_panic(&self, payload: &(dyn Any + Send)) -> String {
+        self.panics.fetch_add(1, Ordering::Relaxed);
+        match (payload.downcast_ref::<&str>(), payload.downcast_ref::<String>()) {
+            (Some(message), _) => message.to_string(),
+            (_, Some(message)) => message.clone(),
+            _ => "non-string panic payload".to_string(),
         }
-        let (snapshot, report) =
-            base.with_mutations_reported(mutation, parallelism).map_err(ReviseError::Build)?;
-        if !self.slot_is_current(table, &slot) {
-            return Err(ReviseError::UnknownTable(table.to_string()));
-        }
-        let snapshot = Arc::new(snapshot);
-        let swapped = slot.swap_in(Arc::clone(&snapshot));
-        self.notify(
-            table,
-            swapped,
-            &snapshot,
-            &ChangeScope::Mutation { relations: mutation.relation_names() },
-        );
-        Ok(Some((swapped, report)))
-    }
-
-    /// [`SnapshotRegistry::revise_scoped`] guarded by an expected generation, verified
-    /// **under the per-table revision lock**: `build` derives and the slot swaps only
-    /// if `table`'s current generation still equals `expected`; otherwise `Ok(None)`
-    /// is returned, the builder never runs, and the slot is untouched. This is the
-    /// generic compare-and-swap behind catalog-owning writers — `sql::Session` routes
-    /// `ALTER TABLE … ADD FD` and `PREFER` through it (falling back to a rebuild only
-    /// on a generation conflict), exactly like
-    /// [`SnapshotRegistry::apply_if_generation`] does for row mutations.
-    pub fn revise_scoped_if_generation<E>(
-        &self,
-        table: &str,
-        expected: u64,
-        build: impl FnOnce(&EngineSnapshot) -> Result<(EngineSnapshot, ChangeScope), E>,
-    ) -> Result<Option<u64>, ReviseError<E>> {
-        let Some(slot) = self.slot(table) else {
-            return Err(ReviseError::UnknownTable(table.to_string()));
-        };
-        let _serialised = slot.revision.lock().expect("registry revision lock");
-        // All writers hold the revision lock across base-pin → swap, so the generation
-        // read here cannot move before our swap lands.
-        let (base, generation) = {
-            let current = slot.current.lock().expect("registry slot");
-            (Arc::clone(&current.0), current.1)
-        };
-        if generation != expected {
-            return Ok(None);
-        }
-        let (revised, scope) = build(&base).map_err(ReviseError::Build)?;
-        if !self.slot_is_current(table, &slot) {
-            return Err(ReviseError::UnknownTable(table.to_string()));
-        }
-        let revised = Arc::new(revised);
-        let swapped = slot.swap_in(Arc::clone(&revised));
-        self.notify(table, swapped, &revised, &scope);
-        Ok(Some(swapped))
     }
 
     /// Removes `table`'s slot. Outstanding leases keep their snapshot alive; an
-    /// in-flight [`SnapshotRegistry::revise`] of the table fails with
+    /// in-flight [`SnapshotRegistry::commit`] of the table fails with
     /// [`ReviseError::UnknownTable`] rather than swapping into the detached slot, and
     /// a re-publish after removal starts a **fresh generation sequence at 1** (the
     /// generation counter lives in the slot).
@@ -550,10 +525,14 @@ impl SnapshotRegistry {
         })
     }
 
-    /// Registry-wide counters: table count plus total reads and swaps.
+    /// Registry-wide counters: table count, total reads and swaps, contained panics.
     pub fn stats(&self) -> RegistryStats {
         let tables = self.tables.read().expect("registry lock");
-        let mut stats = RegistryStats { tables: tables.len(), ..RegistryStats::default() };
+        let mut stats = RegistryStats {
+            tables: tables.len(),
+            panics: self.panics.load(Ordering::Relaxed),
+            ..RegistryStats::default()
+        };
         for slot in tables.values() {
             stats.reads += slot.reads.load(Ordering::Relaxed);
             stats.swaps += slot.swaps.load(Ordering::Relaxed);
@@ -576,12 +555,27 @@ mod tests {
     use super::*;
     use crate::repair::fixtures::*;
     use crate::snapshot::EngineBuilder;
-    use crate::{FamilyKind, Parallelism};
-    use pdqi_relation::TupleId;
+    use crate::{FamilyKind, Mutation, Parallelism};
+    use pdqi_relation::{TupleId, Value};
+    use std::convert::Infallible;
 
     fn example1_snapshot() -> EngineSnapshot {
         let ctx = example1();
         EngineBuilder::new().relation(ctx.instance().clone(), ctx.fds().clone()).build().unwrap()
+    }
+
+    /// Example 1's priority `0 ≻ 2`, oriented over `current`'s graph.
+    fn reprioritise(current: &EngineSnapshot) -> Result<Change, String> {
+        let priority = current
+            .context()
+            .priority_from_pairs(&[(TupleId(0), TupleId(2))])
+            .map_err(|e| e.to_string())?;
+        Ok(Change::Priority { relation: "Mgr".to_string(), priority })
+    }
+
+    fn mary_it() -> Mutation {
+        Mutation::new()
+            .delete("Mgr", vec!["Mary".into(), "IT".into(), Value::int(20), Value::int(1)])
     }
 
     #[test]
@@ -603,19 +597,19 @@ mod tests {
         assert_eq!(stats.swaps, 2);
         assert_eq!(stats.reads, 1);
         assert_eq!(registry.table_names(), vec!["Mgr".to_string()]);
-        assert_eq!(registry.stats(), RegistryStats { tables: 1, reads: 1, swaps: 2 });
+        assert_eq!(registry.stats(), RegistryStats { tables: 1, reads: 1, swaps: 2, panics: 0 });
     }
 
     #[test]
-    fn revise_swaps_against_the_current_snapshot() {
+    fn commit_swaps_against_the_current_snapshot() {
         let ctx = example1();
         let registry = SnapshotRegistry::new();
         registry.publish("Mgr", example1_snapshot());
-        let pairs = [(TupleId(0), TupleId(2))];
-        let generation = registry
-            .revise("Mgr", |current| current.with_priority_pairs(&pairs))
+        let (generation, report) = registry
+            .commit("Mgr", None, Parallelism::sequential(), reprioritise)
             .expect("revision builds");
         assert_eq!(generation, 2);
+        assert!(matches!(report.scope, ChangeScope::Priority { .. }));
         let lease = registry.read("Mgr").unwrap();
         assert_eq!(lease.snapshot().priority().edge_count(), 1);
         // Structure is shared with the pre-revision snapshot, not rebuilt.
@@ -630,24 +624,25 @@ mod tests {
     fn failed_revisions_leave_the_slot_untouched() {
         let registry = SnapshotRegistry::new();
         registry.publish("Mgr", example1_snapshot());
-        let result = registry.revise("Mgr", |_| Err::<EngineSnapshot, _>("nope"));
+        let result =
+            registry.revise_scoped("Mgr", |_| Err::<(EngineSnapshot, ChangeScope), _>("nope"));
         assert!(matches!(result, Err(ReviseError::Build("nope"))));
         assert_eq!(registry.generation("Mgr"), 1);
-        let missing = registry.revise("Nope", |s| Ok::<_, String>(s.clone()));
+        let missing =
+            registry.revise_scoped("Nope", |s| Ok::<_, String>((s.clone(), ChangeScope::Rebuild)));
         assert!(matches!(missing, Err(ReviseError::UnknownTable(_))));
     }
 
     #[test]
-    fn apply_publishes_delta_derived_snapshots_with_generations() {
-        use pdqi_relation::Value;
+    fn commit_publishes_delta_derived_snapshots_with_generations() {
         let registry = SnapshotRegistry::new();
         registry.publish("Mgr", example1_snapshot());
         let before = registry.read("Mgr").unwrap();
         // Delete one of Example 1's conflicting managers: a repair disappears.
-        let mutation = crate::Mutation::new()
-            .delete("Mgr", vec!["Mary".into(), "IT".into(), Value::int(20), Value::int(1)]);
-        let (generation, report) =
-            registry.apply("Mgr", &mutation, Parallelism::sequential()).expect("delta applies");
+        let seq = Parallelism::sequential();
+        let (generation, report) = registry
+            .commit("Mgr", None, seq, |_| Ok::<_, Infallible>(Change::Mutation(mary_it())))
+            .expect("delta applies");
         assert_eq!(generation, 2);
         assert_eq!(report.deleted, 1);
         assert_eq!(report.inserted, 0);
@@ -657,38 +652,35 @@ mod tests {
         // The pinned pre-mutation lease still serves the old state.
         assert_eq!(before.snapshot().count_repairs(), 3);
         // Errors surface without touching the slot.
-        let bad = crate::Mutation::new().insert("Nope", vec![Value::int(1)]);
+        let bad = Mutation::new().insert("Nope", vec![Value::int(1)]);
         assert!(matches!(
-            registry.apply("Mgr", &bad, Parallelism::sequential()),
-            Err(ReviseError::Build(crate::MutationError::UnknownRelation { .. }))
+            registry.commit("Mgr", None, seq, |_| Ok::<_, Infallible>(Change::Mutation(bad))),
+            Err(ReviseError::Change(crate::ChangeError::UnknownRelation { .. }))
         ));
         assert_eq!(registry.generation("Mgr"), 2);
         assert!(matches!(
-            registry.apply("Nope", &crate::Mutation::new(), Parallelism::sequential()),
+            registry.commit("Nope", None, seq, |_| Ok::<_, Infallible>(Change::Mutation(
+                Mutation::new()
+            ))),
             Err(ReviseError::UnknownTable(_))
         ));
     }
 
     #[test]
-    fn apply_if_generation_refuses_stale_expectations() {
-        use pdqi_relation::Value;
+    fn commit_refuses_stale_expectations() {
         let registry = SnapshotRegistry::new();
         registry.publish("Mgr", example1_snapshot());
-        let mutation = crate::Mutation::new()
-            .delete("Mgr", vec!["Mary".into(), "IT".into(), Value::int(20), Value::int(1)]);
+        let seq = Parallelism::sequential();
+        let change = |_: &EngineSnapshot| Ok::<_, Infallible>(Change::Mutation(mary_it()));
         // The expectation matches: the delta swaps and reports the new generation.
-        let applied = registry
-            .apply_if_generation("Mgr", &mutation, Parallelism::sequential(), 1)
-            .expect("table exists");
-        assert!(matches!(applied, Some((2, _))));
-        // The same expectation is now stale: no swap, no error, slot untouched.
-        let stale = registry
-            .apply_if_generation("Mgr", &mutation, Parallelism::sequential(), 1)
-            .expect("table exists");
-        assert!(stale.is_none());
+        let applied = registry.commit("Mgr", Some(1), seq, change).expect("table exists");
+        assert_eq!(applied.0, 2);
+        // The same expectation is now stale: no swap, slot untouched.
+        let stale = registry.commit("Mgr", Some(1), seq, change);
+        assert!(matches!(stale, Err(ReviseError::Conflict { expected: 1, current: 2 })));
         assert_eq!(registry.generation("Mgr"), 2);
         assert!(matches!(
-            registry.apply_if_generation("Nope", &mutation, Parallelism::sequential(), 1),
+            registry.commit("Nope", Some(1), seq, change),
             Err(ReviseError::UnknownTable(_))
         ));
     }
@@ -710,8 +702,8 @@ mod tests {
 
     #[test]
     fn publishes_and_revisions_serialise_as_writers() {
-        // Mixed writers: direct publishes racing revise() calls. Every writer must
-        // get its own generation (no lost swaps) and generations must stay dense.
+        // Mixed writers: direct publishes racing commits. Every writer must get its own
+        // generation (no lost swaps) and generations must stay dense.
         let registry = SnapshotRegistry::new();
         registry.publish("Mgr", example1_snapshot());
         let rounds = 20usize;
@@ -723,11 +715,8 @@ mod tests {
             });
             scope.spawn(|| {
                 for _ in 0..rounds {
-                    let pairs = [(TupleId(0), TupleId(2))];
                     registry
-                        .revise("Mgr", |current| {
-                            current.with_priority_pairs(&pairs).map_err(|e| e.to_string())
-                        })
+                        .commit("Mgr", None, Parallelism::sequential(), reprioritise)
                         .expect("revision builds");
                 }
             });
@@ -738,7 +727,6 @@ mod tests {
 
     #[test]
     fn concurrent_revisions_serialise_and_never_lose_a_swap() {
-        let ctx = example1();
         let registry = SnapshotRegistry::new();
         registry.publish("Mgr", example1_snapshot());
         let rounds = 16usize;
@@ -746,14 +734,8 @@ mod tests {
             for _ in 0..4 {
                 scope.spawn(|| {
                     for _ in 0..rounds {
-                        let pairs = [(TupleId(0), TupleId(2))];
                         registry
-                            .revise("Mgr", |current| {
-                                current.with_priority_revalidated(
-                                    ctx.priority_from_pairs(&pairs).unwrap(),
-                                    Parallelism::sequential(),
-                                )
-                            })
+                            .commit("Mgr", None, Parallelism::sequential(), reprioritise)
                             .expect("revision builds");
                     }
                 });
@@ -762,9 +744,11 @@ mod tests {
         // 1 initial publish + 4 threads × rounds revisions, none lost.
         assert_eq!(registry.generation("Mgr"), 1 + 4 * rounds as u64);
         // The served snapshot answers exactly like a directly derived one.
-        let expected = example1_snapshot()
-            .with_priority_pairs(&[(TupleId(0), TupleId(2))])
+        let base = example1_snapshot();
+        let expected = base
+            .derive(&reprioritise(&base).unwrap(), Parallelism::sequential())
             .unwrap()
+            .0
             .preferred_repair_count(FamilyKind::Global);
         let lease = registry.read("Mgr").unwrap();
         assert_eq!(lease.snapshot().preferred_repair_count(FamilyKind::Global), expected);

@@ -47,7 +47,7 @@ impl RepairContext {
 
     /// A context sharing another context's instance and (already-built) columnar view
     /// but with a different FD set and conflict graph — used by schema deltas
-    /// (`EngineSnapshot::with_fd_added`) so the columnar transpose survives derivations
+    /// (an added FD through `EngineSnapshot::derive`) so the columnar transpose survives derivations
     /// whose instance is unchanged.
     pub(crate) fn with_columns_from(
         parent: &RepairContext,

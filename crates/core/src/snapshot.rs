@@ -18,11 +18,10 @@
 //!   edges never cross components, so a repair is preferred iff its restriction to each
 //!   component is preferred within that component (see `component_preferred` below for
 //!   the per-family component tests).
-//! * [`EngineSnapshot::with_priority`] derives a snapshot with a revised priority
-//!   without rebuilding: the conflict graph, components and instance are shared, and only
-//!   the memo entries of components actually touched by the priority change are dropped.
-//!   [`EngineSnapshot::with_priority_revalidated`] additionally re-enumerates exactly
-//!   those dropped entries across workers before handing the snapshot out.
+//! * [`EngineSnapshot::derive`] (in [`crate::change`]) derives a snapshot from a
+//!   priority revision, a row mutation or an added FD without rebuilding: only the
+//!   components the change touches are re-partitioned and re-enumerated, everything
+//!   else — graph, components, memo entries — is shared or carried over.
 //!
 //! # The shard layer
 //!
@@ -52,7 +51,7 @@
 //! Queries are executed against snapshots through [`crate::prepared::PreparedQuery`],
 //! which adds a second memo level keyed by `(component set, family, query fingerprint)`.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::ops::{ControlFlow, Range};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -82,18 +81,8 @@ pub enum BuildError {
     },
     /// A priority source was declared before any relation.
     PriorityWithoutRelation,
-    /// A priority source referenced a relation the builder does not know.
-    UnknownRelation {
-        /// The offending relation name.
-        relation: String,
-    },
     /// A priority source did not fit its relation (bad pair, cycle, ...).
     Priority(PriorityError),
-    /// A priority was built over a different conflict graph than the relation's.
-    GraphMismatch {
-        /// The relation whose graph the priority should have oriented.
-        relation: String,
-    },
     /// A per-tuple annotation (scores, provenance) had the wrong length.
     AnnotationLength {
         /// The relation the annotation was attached to.
@@ -116,13 +105,7 @@ impl fmt::Display for BuildError {
             BuildError::PriorityWithoutRelation => {
                 f.write_str("a priority source must follow the relation it applies to")
             }
-            BuildError::UnknownRelation { relation } => {
-                write!(f, "snapshot has no relation `{relation}`")
-            }
             BuildError::Priority(e) => write!(f, "priority cannot be installed: {e}"),
-            BuildError::GraphMismatch { relation } => {
-                write!(f, "the priority orients a different conflict graph than relation `{relation}`'s")
-            }
             BuildError::AnnotationLength { relation, supplied, expected } => write!(
                 f,
                 "relation `{relation}` has {expected} tuples but {supplied} annotations were supplied"
@@ -505,19 +488,33 @@ pub(crate) struct RelationEntry {
 
 impl RelationEntry {
     fn new(ctx: Arc<RepairContext>, priority: Priority) -> Self {
-        let graph = ctx.graph();
+        // Pushed rather than collected in place, which would keep the buffer sized for
+        // every component, singletons included, alive in the snapshot.
         let mut components = Vec::new();
-        let mut base = TupleSet::with_capacity(graph.vertex_count());
-        let mut comp_of = vec![usize::MAX; graph.vertex_count()];
-        for component in graph.connected_components() {
-            if component.len() < 2 {
-                base.union_with(&component);
-            } else {
-                for t in component.iter() {
-                    comp_of[t.index()] = components.len();
-                }
+        for component in ctx.graph().connected_components() {
+            if component.len() >= 2 {
                 components.push(component);
             }
+        }
+        RelationEntry::from_components(ctx, priority, components)
+    }
+
+    /// An entry over the given non-trivial components (in component-id order); every
+    /// other tuple is conflict-free. Offset and shard plan are stitched in afterwards.
+    pub(crate) fn from_components(
+        ctx: Arc<RepairContext>,
+        priority: Priority,
+        components: Vec<TupleSet>,
+    ) -> Self {
+        let mut comp_of = vec![usize::MAX; ctx.instance().len()];
+        for (index, members) in components.iter().enumerate() {
+            for t in members.iter() {
+                comp_of[t.index()] = index;
+            }
+        }
+        let mut base = TupleSet::with_capacity(comp_of.len());
+        for t in ctx.instance().ids().filter(|t| comp_of[t.index()] == usize::MAX) {
+            base.insert(t);
         }
         RelationEntry {
             ctx,
@@ -549,32 +546,6 @@ impl RelationEntry {
             comp_offset: self.comp_offset,
             shards: Arc::clone(&self.shards),
         }
-    }
-
-    /// Derives this entry with a different priority, sharing everything else, and
-    /// reports which *local* component indices the change touches.
-    fn with_priority(&self, priority: Priority) -> (RelationEntry, BTreeSet<usize>) {
-        let old: BTreeSet<(TupleId, TupleId)> = self.priority.edges().into_iter().collect();
-        let new: BTreeSet<(TupleId, TupleId)> = priority.edges().into_iter().collect();
-        let mut affected = BTreeSet::new();
-        for (winner, loser) in old.symmetric_difference(&new) {
-            for t in [winner, loser] {
-                let comp = self.comp_of[t.index()];
-                if comp != usize::MAX {
-                    affected.insert(comp);
-                }
-            }
-        }
-        let entry = RelationEntry {
-            ctx: Arc::clone(&self.ctx),
-            priority,
-            components: Arc::clone(&self.components),
-            base: Arc::clone(&self.base),
-            comp_of: Arc::clone(&self.comp_of),
-            comp_offset: self.comp_offset,
-            shards: Arc::clone(&self.shards),
-        };
-        (entry, affected)
     }
 }
 
@@ -1096,9 +1067,8 @@ impl EngineSnapshot {
     ///
     /// * right after [`EngineBuilder::build`], to pay the whole enumeration cost up
     ///   front across cores before queries arrive;
-    /// * right after [`EngineSnapshot::with_priority`], to revalidate **only the
-    ///   components the priority change invalidated** — untouched components were
-    ///   carried over and are skipped here.
+    /// * right after [`EngineSnapshot::with_cleared_memo`], to re-warm a cold copy —
+    ///   components already memoised are skipped.
     pub fn warm_components(&self, kind: FamilyKind, parallelism: Parallelism) -> usize {
         let all: Vec<usize> = (0..self.inner.relations.len()).collect();
         self.warm_relation_components(kind, &all, parallelism)
@@ -1222,163 +1192,6 @@ impl EngineSnapshot {
     pub fn clean(&self) -> Result<TupleSet, CleaningError> {
         let entry = self.single();
         clean_with_total_priority(entry.ctx.graph(), &entry.priority)
-    }
-
-    /// Derives a snapshot with a revised priority for a single-relation snapshot. The
-    /// instance, conflict graph and components are shared; memo entries are retained
-    /// unless the priority change touches the component they describe.
-    pub fn with_priority(&self, priority: Priority) -> Result<EngineSnapshot, BuildError> {
-        self.single();
-        let name = self.inner.relations[0].ctx.instance().schema().name().to_string();
-        self.with_priority_for(&name, priority)
-    }
-
-    /// Derives a snapshot with a revised priority for relation `name`; see
-    /// [`EngineSnapshot::with_priority`].
-    pub fn with_priority_for(
-        &self,
-        name: &str,
-        priority: Priority,
-    ) -> Result<EngineSnapshot, BuildError> {
-        self.with_priority_reported_for(name, priority).map(|(snapshot, _)| snapshot)
-    }
-
-    /// [`EngineSnapshot::with_priority_for`] that also reports **which global
-    /// component ids the priority change touched**: exactly the components whose
-    /// priority-sensitive memo entries the derivation dropped. Component ids are
-    /// stable across the derivation (priority revisions share the conflict graph and
-    /// its partition), so the reported set is the precise invalidation footprint a
-    /// swap observer needs to prove answers unchanged — an answer whose
-    /// `depends_on` components are disjoint from this set was carried over verbatim.
-    pub fn with_priority_reported_for(
-        &self,
-        name: &str,
-        priority: Priority,
-    ) -> Result<(EngineSnapshot, BTreeSet<usize>), BuildError> {
-        let Some(rel) = self.entry_index(name) else {
-            return Err(BuildError::UnknownRelation { relation: name.to_string() });
-        };
-        let entry = &self.inner.relations[rel];
-        let same_graph = Arc::ptr_eq(priority.graph(), entry.ctx.graph())
-            || (priority.graph().vertex_count() == entry.ctx.graph().vertex_count()
-                && priority.graph().edges() == entry.ctx.graph().edges());
-        if !same_graph {
-            return Err(BuildError::GraphMismatch { relation: name.to_string() });
-        }
-        let (new_entry, affected_local) = entry.with_priority(priority);
-        let affected: BTreeSet<usize> =
-            affected_local.into_iter().map(|c| entry.comp_offset + c).collect();
-        let relations: Vec<RelationEntry> = self
-            .inner
-            .relations
-            .iter()
-            .enumerate()
-            .map(|(i, existing)| if i == rel { new_entry.share() } else { existing.share() })
-            .collect();
-        // Carry over every memo entry the priority change cannot have touched: `Rep`
-        // never depends on the priority, and other families only through the affected
-        // components.
-        let memo = Memo::default();
-        self.inner.memo.components.for_each(|&(comp, kind), sets| {
-            if kind == FamilyKind::Rep || !affected.contains(&comp) {
-                memo.components.insert_if_missing((comp, kind), sets);
-            }
-        });
-        memo.carry_answers_from(&self.inner.memo, |answer| {
-            let untouched = !answer.priority_sensitive
-                || answer.depends_on.iter().all(|comp| !affected.contains(comp));
-            untouched.then(|| answer.depends_on.clone())
-        });
-        memo.carry_plans_from(&self.inner.memo, |plan| {
-            let untouched = !plan.priority_sensitive
-                || plan.depends_on.iter().all(|comp| !affected.contains(comp));
-            untouched.then(|| plan.depends_on.clone())
-        });
-        let snapshot = EngineSnapshot {
-            inner: Arc::new(SnapshotInner { relations, by_name: self.inner.by_name.clone(), memo }),
-        };
-        Ok((snapshot, affected))
-    }
-
-    /// Derives a single-relation snapshot whose priority is built from explicit
-    /// `winner ≻ loser` pairs over this snapshot's conflict graph.
-    pub fn with_priority_pairs(
-        &self,
-        pairs: &[(TupleId, TupleId)],
-    ) -> Result<EngineSnapshot, BuildError> {
-        let graph = Arc::clone(self.single().ctx.graph());
-        let priority = Priority::from_pairs(graph, pairs)?;
-        self.with_priority(priority)
-    }
-
-    /// [`EngineSnapshot::with_priority`] followed by **parallel revalidation** of
-    /// exactly the memo entries the priority change invalidated: every `(component,
-    /// family)` pair the parent had memoised and the derivation dropped is re-enumerated
-    /// across workers (largest components first) before the snapshot is handed out.
-    ///
-    /// The derived snapshot is indistinguishable from `with_priority` + lazy
-    /// re-enumeration — revalidation only moves the recomputation cost to this call,
-    /// where it fans out over the invalidated shards instead of serialising on the
-    /// first query to touch them.
-    pub fn with_priority_revalidated(
-        &self,
-        priority: Priority,
-        parallelism: Parallelism,
-    ) -> Result<EngineSnapshot, BuildError> {
-        self.single();
-        let name = self.inner.relations[0].ctx.instance().schema().name().to_string();
-        self.with_priority_revalidated_for(&name, priority, parallelism)
-    }
-
-    /// [`EngineSnapshot::with_priority_revalidated`] for relation `name` of a
-    /// multi-relation snapshot.
-    pub fn with_priority_revalidated_for(
-        &self,
-        name: &str,
-        priority: Priority,
-        parallelism: Parallelism,
-    ) -> Result<EngineSnapshot, BuildError> {
-        self.with_priority_revalidated_reported_for(name, priority, parallelism)
-            .map(|(snapshot, _)| snapshot)
-    }
-
-    /// [`EngineSnapshot::with_priority_revalidated_for`] that also reports the global
-    /// component ids the priority change touched (see
-    /// [`EngineSnapshot::with_priority_reported_for`]) — the registry's
-    /// priority-revision path forwards this set to swap observers so subscriptions can
-    /// prove answers unchanged without re-executing.
-    pub fn with_priority_revalidated_reported_for(
-        &self,
-        name: &str,
-        priority: Priority,
-        parallelism: Parallelism,
-    ) -> Result<(EngineSnapshot, BTreeSet<usize>), BuildError> {
-        let (derived, affected) = self.with_priority_reported_for(name, priority)?;
-        // The invalidated slice of the memo: entries the parent had that derivation
-        // dropped (only components the priority change touched, only priority-sensitive
-        // families).
-        let mut dropped: Vec<(usize, FamilyKind)> = Vec::new();
-        self.inner.memo.components.for_each(|key, _| {
-            if !derived.inner.memo.components.contains(key) {
-                dropped.push(*key);
-            }
-        });
-        dropped.sort_unstable_by_key(|&(comp, kind)| (comp, kind.label()));
-        let weights: Vec<u128> = dropped
-            .iter()
-            .map(|&(comp, _)| {
-                let (rel, local) = derived.locate_component(comp);
-                derived.inner.relations[rel].components[local].len() as u128
-            })
-            .collect();
-        let order = pdqi_solve::mis::schedule_by_descending_weight(&weights);
-        let jobs: Vec<(usize, FamilyKind)> = order.into_iter().map(|i| dropped[i]).collect();
-        crate::parallel::run_jobs(parallelism, jobs.len(), |i| {
-            let (comp, kind) = jobs[i];
-            let (rel, local) = derived.locate_component(comp);
-            derived.component_preferred(rel, local, kind);
-        });
-        Ok((derived, affected))
     }
 
     /// Maps a global component id back to `(relation index, local component index)`.
@@ -1576,10 +1389,19 @@ impl EngineSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::change::{Change, ChangeReport};
     use crate::repair::fixtures::*;
 
     fn snapshot_of(ctx: &RepairContext) -> EngineSnapshot {
         EngineBuilder::new().relation(ctx.instance().clone(), ctx.fds().clone()).build().unwrap()
+    }
+
+    /// Derives a single-relation `snapshot` under `priority`.
+    fn revised(snapshot: &EngineSnapshot, priority: Priority) -> (EngineSnapshot, ChangeReport) {
+        let relation = snapshot.context().instance().schema().name().to_string();
+        snapshot
+            .derive(&Change::Priority { relation, priority }, Parallelism::sequential())
+            .unwrap()
     }
 
     #[test]
@@ -1612,7 +1434,7 @@ mod tests {
     #[test]
     fn per_family_component_pipeline_matches_the_legacy_family_objects() {
         for (ctx, priority) in [example7(), example8(), example9(), example9_intended()] {
-            let snapshot = snapshot_of(&ctx).with_priority(priority.clone()).unwrap();
+            let snapshot = revised(&snapshot_of(&ctx), priority.clone()).0;
             for kind in FamilyKind::ALL {
                 let legacy = kind.family().preferred_repairs(&ctx, &priority, usize::MAX);
                 let piped = snapshot.preferred_repairs(kind, usize::MAX);
@@ -1631,7 +1453,7 @@ mod tests {
     }
 
     #[test]
-    fn with_priority_shares_structure_and_keeps_unaffected_memo_entries() {
+    fn priority_changes_share_structure_and_keep_unaffected_memo_entries() {
         let ctx = example9();
         let (ctx, priority) = (ctx.0, ctx.1);
         let base = snapshot_of(&ctx);
@@ -1639,26 +1461,30 @@ mod tests {
         base.preferred_repairs(FamilyKind::Rep, usize::MAX);
         base.preferred_repairs(FamilyKind::Local, usize::MAX);
         let warmed = base.memo_stats();
-        let derived = base.with_priority(priority).unwrap();
+        let (derived, report) = revised(&base, priority);
         // The graph and instance are shared, not rebuilt.
         assert!(Arc::ptr_eq(base.graph(), derived.graph()));
-        // Rep entries survive (priority-independent): re-enumeration is all hits.
+        // Rep entries survive (priority-independent): re-enumeration is all hits, the
+        // only misses are the eagerly re-enumerated L-Rep entries.
         derived.preferred_repairs(FamilyKind::Rep, usize::MAX);
         let stats = derived.memo_stats();
-        assert_eq!(stats.component_misses, 0, "Rep memo entries must survive derivation");
+        assert_eq!(
+            stats.component_misses, report.recomputed_entries as u64,
+            "Rep memo entries must survive derivation"
+        );
         assert!(stats.component_hits > 0);
         assert!(warmed.component_misses > 0);
     }
 
     #[test]
-    fn with_priority_invalidates_only_affected_components() {
+    fn priority_changes_invalidate_only_affected_components() {
         // Example 4 with n = 3: three independent two-tuple components.
         let ctx = example4(3);
         let base = snapshot_of(&ctx);
         base.preferred_repairs(FamilyKind::Global, usize::MAX);
         // Orient only the first component's conflict edge.
         let priority = ctx.priority_from_pairs(&[(TupleId(0), TupleId(1))]).unwrap();
-        let derived = base.with_priority(priority).unwrap();
+        let derived = revised(&base, priority).0;
         derived.preferred_repairs(FamilyKind::Global, usize::MAX);
         let stats = derived.memo_stats();
         // Components 2 and 3 were untouched: only the first was recomputed.
@@ -1780,9 +1606,10 @@ mod tests {
         let base = snapshot_of(&ctx);
         base.warm_components(FamilyKind::Global, Parallelism::threads(2));
         let priority = ctx.priority_from_pairs(&[(TupleId(0), TupleId(1))]).unwrap();
-        let derived = base.with_priority(priority).unwrap();
-        // Only the component touched by the new priority edge is missing.
-        assert_eq!(derived.warm_components(FamilyKind::Global, Parallelism::threads(2)), 1);
+        let (derived, report) = revised(&base, priority);
+        // Only the component touched by the new priority edge was re-enumerated.
+        assert_eq!(report.recomputed_entries, 1);
+        assert_eq!(derived.warm_components(FamilyKind::Global, Parallelism::threads(2)), 0);
         assert_eq!(derived.memo_stats().component_misses, 1);
     }
 
@@ -1804,7 +1631,7 @@ mod tests {
     #[test]
     fn snapshot_cleaning_and_checking_work() {
         let (ctx, priority) = example9();
-        let snapshot = snapshot_of(&ctx).with_priority(priority).unwrap();
+        let snapshot = revised(&snapshot_of(&ctx), priority).0;
         let cleaned = snapshot.clean().unwrap();
         assert!(snapshot.is_preferred_repair(FamilyKind::Common, &cleaned));
         assert_eq!(snapshot.preferred_repairs(FamilyKind::Common, 10), vec![cleaned]);
@@ -1898,10 +1725,10 @@ mod tests {
         base.warm_components(FamilyKind::Global, Parallelism::sequential());
         base.warm_components(FamilyKind::Local, Parallelism::sequential());
         let priority = ctx.priority_from_pairs(&[(TupleId(0), TupleId(1))]).unwrap();
+        let change = Change::Priority { relation: "R".to_string(), priority };
         for workers in [1usize, 4] {
-            let derived = base
-                .with_priority_revalidated(priority.clone(), Parallelism::threads(workers))
-                .unwrap();
+            let (derived, report) = base.derive(&change, Parallelism::threads(workers)).unwrap();
+            assert_eq!(report.recomputed_entries, 2, "{workers} workers");
             // Global and Local of the touched component were re-enumerated eagerly...
             let stats = derived.memo_stats();
             assert_eq!(stats.component_misses, 2, "{workers} workers");
@@ -1909,11 +1736,15 @@ mod tests {
             derived.preferred_repairs(FamilyKind::Global, usize::MAX);
             derived.preferred_repairs(FamilyKind::Local, usize::MAX);
             assert_eq!(derived.memo_stats().component_misses, 2, "{workers} workers");
-            // And the revalidated snapshot answers exactly like a lazily derived one.
-            let lazy = base.with_priority(priority.clone()).unwrap();
+            // And the derived snapshot answers exactly like a fresh build.
+            let fresh = EngineBuilder::new()
+                .relation(ctx.instance().clone(), ctx.fds().clone())
+                .priority_pairs(&[(TupleId(0), TupleId(1))])
+                .build()
+                .unwrap();
             assert_eq!(
                 derived.preferred_repairs(FamilyKind::Global, usize::MAX),
-                lazy.preferred_repairs(FamilyKind::Global, usize::MAX)
+                fresh.preferred_repairs(FamilyKind::Global, usize::MAX)
             );
         }
     }
@@ -1924,9 +1755,8 @@ mod tests {
         let snapshot = snapshot_of(&ctx);
         snapshot.set_answer_cache_capacity(7);
         let cleared = snapshot.with_cleared_memo();
-        let derived = snapshot
-            .with_priority(ctx.priority_from_pairs(&[(TupleId(0), TupleId(1))]).unwrap())
-            .unwrap();
+        let derived =
+            revised(&snapshot, ctx.priority_from_pairs(&[(TupleId(0), TupleId(1))]).unwrap()).0;
         assert_eq!(cleared.answer_cache_capacity(), 7);
         assert_eq!(derived.answer_cache_capacity(), 7);
         // Capacity changes after derivation stay on the snapshot they were made on.
@@ -1958,10 +1788,9 @@ mod tests {
             });
             let derivations = scope.spawn(|| {
                 for _ in 0..100 {
-                    for derived in [
-                        snapshot.with_cleared_memo(),
-                        snapshot.with_priority(priority.clone()).unwrap(),
-                    ] {
+                    for derived in
+                        [snapshot.with_cleared_memo(), revised(&snapshot, priority.clone()).0]
+                    {
                         let capacity = derived.answer_cache_capacity();
                         // The bound is always one the parent actually had, and the
                         // carried-over entries never exceed it.

@@ -32,19 +32,19 @@
 //!   of each table's revision lock. Concurrent `MUTATE`/`INSERT`/`DELETE` frames
 //!   enqueue a [`WriteFrame`] and one caller becomes the batch leader; the leader
 //!   drains up to [`MAX_COALESCED_BATCH`] queued frames *after* acquiring the
-//!   revision lock (inside [`SnapshotRegistry::revise_scoped`]'s build closure, so
-//!   every frame queued while the lock was busy folds in), nets them into one
-//!   [`Mutation`], runs one `with_mutations` derivation, and publishes one swap —
-//!   one delta derivation and one push for the whole burst. The combined
-//!   [`ChangeScope::Mutation`] names exactly the netted relations, so skip proofs
-//!   keep working; per-frame `inserted`/`deleted` reports are reconstructed by
-//!   replaying the frames over the base relation's row set under the same set
-//!   semantics the engine applies.
+//!   revision lock (inside [`SnapshotRegistry::commit`]'s change closure, so every
+//!   frame queued while the lock was busy folds in), nets them into one
+//!   [`Mutation`], and commits it as one [`Change::Mutation`] — one delta derivation,
+//!   one swap and one push for the whole burst. The combined
+//!   [`ChangeScope::Mutation`](crate::ChangeScope::Mutation) names exactly the netted
+//!   relations, so skip proofs keep working; per-frame `inserted`/`deleted` reports
+//!   are reconstructed by replaying the frames over the rows they name under the same
+//!   set semantics the engine applies.
 //!
 //! ```text
 //!        MUTATE ──┐                       ┌────────────────────────────────┐
 //!        INSERT ──┼─► pending frames ──►  │ leader: drain → net Mutation   │
-//!        DELETE ──┘   (per table,         │ → one with_mutations → 1 swap  │
+//!        DELETE ──┘   (per table,         │ → one commit → 1 swap          │
 //!                      bounded)           └────────────┬───────────────────┘
 //!                                                      ▼
 //!                                       subscribers: one AnswerDelta
@@ -58,9 +58,9 @@ use std::time::{Duration, Instant};
 
 use pdqi_relation::Value;
 
-use crate::delta::{Mutation, MutationError};
+use crate::change::{Change, Mutation};
 use crate::parallel::Parallelism;
-use crate::registry::{ChangeScope, ReviseError, SnapshotRegistry};
+use crate::registry::{ReviseError, SnapshotRegistry};
 use crate::snapshot::EngineSnapshot;
 use crate::subscribe::{diff_rows, AnswerDelta};
 
@@ -434,13 +434,6 @@ struct TableQueue {
     leader: Mutex<()>,
 }
 
-/// Sentinel-capable error for the batch build closure: `Empty` marks a race (another
-/// leader drained our frames first) and aborts the revision without a swap.
-enum BatchBuild {
-    Empty,
-    Mutation(MutationError),
-}
-
 /// The bounded write-coalescing queue in front of each table's revision lock. See
 /// the [module docs](self).
 pub struct WriteCoalescer {
@@ -486,9 +479,9 @@ impl WriteCoalescer {
     }
 
     /// Applies one write frame to `table`, blocking until its batch's swap
-    /// published. Uncontended frames behave exactly like
-    /// [`SnapshotRegistry::apply`]; frames arriving while the revision lock is busy
-    /// fold into the next batch.
+    /// published. Uncontended frames behave exactly like a
+    /// [`SnapshotRegistry::commit`] of the frame's mutation; frames arriving while the
+    /// revision lock is busy fold into the next batch.
     pub fn apply(&self, table: &str, frame: WriteFrame) -> Result<WriteOutcome, WriteError> {
         let mut results = self.apply_frames(table, vec![frame]);
         results.pop().expect("one result per frame")
@@ -558,7 +551,7 @@ impl WriteCoalescer {
     fn run_batch(&self, table: &str, queue: &TableQueue) {
         let mut drained: Vec<(WriteFrame, Arc<Ticket>)> = Vec::new();
         let mut reports: Vec<(usize, usize)> = Vec::new();
-        let outcome = self.registry.revise_scoped(table, |base| {
+        let outcome = self.registry.commit(table, None, self.parallelism, |base| {
             if !self.hold.is_zero() {
                 // Group-commit window: in-flight writers enqueue while we sleep and
                 // the drain below picks them up.
@@ -570,17 +563,15 @@ impl WriteCoalescer {
                 drained.extend(pending.drain(..take));
             }
             if drained.is_empty() {
-                return Err(BatchBuild::Empty);
+                // Another leader drained our frames first: abort without a swap.
+                return Err("empty batch");
             }
             let (net, per_frame) = Self::fold(base, table, &drained);
             reports = per_frame;
-            let (snapshot, _combined) = base
-                .with_mutations_reported(&net, self.parallelism)
-                .map_err(BatchBuild::Mutation)?;
-            Ok((snapshot, ChangeScope::Mutation { relations: net.relation_names() }))
+            Ok(Change::Mutation(net))
         });
         match outcome {
-            Ok(generation) => {
+            Ok((generation, _)) => {
                 let k = drained.len();
                 self.batches.fetch_add(1, Ordering::Relaxed);
                 if k > 1 {
@@ -598,15 +589,9 @@ impl WriteCoalescer {
             }
             // Another leader drained our candidate frames before we took the lock:
             // nothing swapped, their tickets are (being) filled elsewhere.
-            Err(ReviseError::Build(BatchBuild::Empty)) => {}
+            Err(ReviseError::Build(_)) => {}
             Err(error) => {
-                // Render like the `ReviseError` the un-coalesced path surfaced, so
-                // wire error texts are unchanged.
-                let message = match error {
-                    ReviseError::UnknownTable(t) => format!("registry serves no table `{t}`"),
-                    ReviseError::Build(BatchBuild::Mutation(e)) => format!("revision failed: {e}"),
-                    ReviseError::Build(BatchBuild::Empty) => unreachable!("handled above"),
-                };
+                let message = error.to_string();
                 if drained.is_empty() {
                     // The registry rejected the table *before* the build closure —
                     // and its drain — ever ran. Take the pending frames now so their
@@ -625,10 +610,12 @@ impl WriteCoalescer {
 
     /// Nets `drained` into one mutation and reconstructs per-frame reports.
     ///
-    /// `present` replays every frame, in arrival order, over the base relation's row
-    /// set with the engine's set semantics (insert of a stored row and delete of an
-    /// absent row are no-ops; within a frame deletes go first). The net mutation is
-    /// the symmetric difference of the start and end sets, so fully cancelled churn
+    /// Every frame replays, in arrival order, over the rows the frames name — each
+    /// starting as stored or not in the base relation (a row that does not fit the
+    /// schema is never stored) — with the engine's set semantics: insert of a present
+    /// row and delete of an absent row are no-ops, and within a frame deletes go first.
+    /// The net mutation deletes the stored rows that end absent and inserts the
+    /// unstored rows that end present, both in row order, so fully cancelled churn
     /// (insert then delete, or delete then re-insert) vanishes from the derivation —
     /// value-identical to applying the frames one by one.
     fn fold(
@@ -636,30 +623,38 @@ impl WriteCoalescer {
         table: &str,
         drained: &[(WriteFrame, Arc<Ticket>)],
     ) -> (Mutation, Vec<(usize, usize)>) {
-        let original: BTreeSet<Vec<Value>> = base
-            .context_of(table)
-            .map(|ctx| ctx.instance().iter().map(|(_, t)| t.values().to_vec()).collect())
-            .unwrap_or_default();
-        let mut present = original.clone();
+        let instance = base.context_of(table).map(|ctx| ctx.instance());
+        let stored = |row: &Vec<Value>| {
+            instance.is_some_and(|instance| {
+                let tuple = instance.schema().tuple(row.clone());
+                tuple.is_ok_and(|tuple| instance.id_of(&tuple).is_some())
+            })
+        };
+        // Named row → (stored in the base, present after the frames replayed so far).
+        let mut rows: BTreeMap<&Vec<Value>, (bool, bool)> = BTreeMap::new();
         let mut reports = Vec::with_capacity(drained.len());
         for (frame, _) in drained {
-            let mut inserted = 0usize;
-            let mut deleted = 0usize;
-            for row in &frame.deletes {
-                if present.remove(row) {
-                    deleted += 1;
+            let mut counts = [0usize; 2]; // [deleted, inserted]
+            for (present_after, batch) in [(false, &frame.deletes), (true, &frame.inserts)] {
+                for row in batch {
+                    let (_, present) = rows.entry(row).or_insert_with(|| {
+                        let stored = stored(row);
+                        (stored, stored)
+                    });
+                    if *present != present_after {
+                        *present = present_after;
+                        counts[usize::from(present_after)] += 1;
+                    }
                 }
             }
-            for row in &frame.inserts {
-                if present.insert(row.clone()) {
-                    inserted += 1;
-                }
-            }
-            reports.push((inserted, deleted));
+            reports.push((counts[1], counts[0]));
         }
-        let deletes: Vec<Vec<Value>> = original.difference(&present).cloned().collect();
-        let inserts: Vec<Vec<Value>> = present.difference(&original).cloned().collect();
-        (Mutation::new().delete_rows(table, deletes).insert_rows(table, inserts), reports)
+        let net = |was_stored: bool| {
+            rows.iter()
+                .filter(move |(_, &(stored, present))| stored == was_stored && present != stored)
+                .map(|(row, _)| (*row).clone())
+        };
+        (Mutation::new().delete_rows(table, net(true)).insert_rows(table, net(false)), reports)
     }
 }
 

@@ -7,13 +7,13 @@
 //! small recurring pool (serving workloads repeat — that is what the answer memo is
 //! for) and every `revision_every`-th event publishes a revised priority. Replaying the
 //! stream against a `SnapshotRegistry` — queries on serving threads, revisions through
-//! `revise`/`with_priority_revalidated` — is exactly the swap-under-load shape the
+//! `SnapshotRegistry::commit` of a priority `Change` — is exactly the swap-under-load shape the
 //! `e16_serving` bench and the serving tests pin down.
 //!
 //! [`mutation_trace`] is the incremental-maintenance analogue: the same recurring
 //! query pool, but every k-th event **inserts or deletes rows** instead of revising
 //! the priority. Replaying it — queries on serving threads, mutations through
-//! `SnapshotRegistry::apply`/`EngineSnapshot::with_mutations` — drives the delta
+//! `SnapshotRegistry::commit` of a `Change::Mutation` — drives the delta
 //! subsystem the `e17_incremental` bench and the `incremental` tests pin down.
 
 use pdqi_constraints::FdSet;
@@ -48,7 +48,7 @@ pub struct RevisionTrace {
 /// instance: `events` events, of which every `revision_every`-th is a priority
 /// revision re-orienting the conflict edges of one randomly chosen chain (revisions
 /// therefore invalidate exactly one component's memo entries, the incremental-swap
-/// shape `with_priority_revalidated` is built for). Queries are drawn from a pool of
+/// shape priority derivations are built for). Queries are drawn from a pool of
 /// 8 recurring texts so answer-memo hits occur like they would in a serving workload.
 ///
 /// Deterministic given the `rng` seed, like every generator in this crate.

@@ -62,13 +62,14 @@ impl std::error::Error for PriorityError {}
 /// The priority keeps a shared handle to the conflict graph it orients so that the
 /// "defined only on conflicting tuples" invariant of Definition 2 can be enforced on
 /// every insertion; acyclicity is enforced by a reachability check before each insertion.
+/// Cloning is cheap: the per-tuple domination sets are shared until a clone is modified.
 #[derive(Clone)]
 pub struct Priority {
     graph: Arc<ConflictGraph>,
     /// `dominates[x]` = the set of tuples y with `x ≻ y`.
-    dominates: Vec<TupleSet>,
+    dominates: Arc<Vec<TupleSet>>,
     /// `dominators[y]` = the set of tuples x with `x ≻ y`.
-    dominators: Vec<TupleSet>,
+    dominators: Arc<Vec<TupleSet>>,
     edge_count: usize,
 }
 
@@ -78,8 +79,8 @@ impl Priority {
         let n = graph.vertex_count();
         Priority {
             graph,
-            dominates: vec![TupleSet::with_capacity(n); n],
-            dominators: vec![TupleSet::with_capacity(n); n],
+            dominates: Arc::new(vec![TupleSet::with_capacity(n); n]),
+            dominators: Arc::new(vec![TupleSet::with_capacity(n); n]),
             edge_count: 0,
         }
     }
@@ -153,8 +154,8 @@ impl Priority {
         if self.reaches(loser, winner) {
             return Err(PriorityError::WouldCreateCycle { winner, loser });
         }
-        self.dominates[winner.index()].insert(loser);
-        self.dominators[loser.index()].insert(winner);
+        Arc::make_mut(&mut self.dominates)[winner.index()].insert(loser);
+        Arc::make_mut(&mut self.dominators)[loser.index()].insert(winner);
         self.edge_count += 1;
         Ok(())
     }

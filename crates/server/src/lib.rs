@@ -8,14 +8,14 @@
 //!  │ Client / │ ────────► │ accept loops → per-connection │   │   SnapshotRegistry    │
 //!  │ pdqi     │ ◄──────── │ handlers → Request dispatch   │──►│ table → Arc<Snapshot> │
 //!  │ connect  │           │   EXEC/BATCH: BatchExecutor   │   │ (generation counters) │
-//!  └──────────┘           │   SET-PRIORITY: revise+swap   │   └───────────────────────┘
+//!  └──────────┘           │   writes: commit a Change     │   └───────────────────────┘
 //! ```
 //!
 //! * [`protocol`] — the length-prefixed line protocol: framing, request parsing,
 //!   response shapes, malformed-frame rules;
 //! * [`server`] — the std-only serving loop: accept threads, per-connection handlers,
-//!   snapshot-pinned dispatch through [`pdqi_core::BatchExecutor`], revisions through
-//!   [`pdqi_core::SnapshotRegistry::revise`];
+//!   snapshot-pinned dispatch through [`pdqi_core::BatchExecutor`], writes through
+//!   [`pdqi_core::SnapshotRegistry::commit`];
 //! * [`client`] — a blocking [`Client`] with typed helpers, used by the CLI's
 //!   `connect` subcommand, the serving tests and the `e16_serving` bench;
 //! * [`coordinator`] — the scatter-gather front end: one serve-compatible endpoint

@@ -13,12 +13,11 @@
 //!   [`BatchExecutor`] over that snapshot. Answers are bit-identical to calling
 //!   [`pdqi_core::PreparedQuery::execute`] on the leased snapshot directly, and the
 //!   response reports the pinned generation;
-//! * `SET-PRIORITY` and `ALTER` revise **off the serving path** through
-//!   [`SnapshotRegistry::revise`]: the replacement snapshot derives (and eagerly
-//!   revalidates) while in-flight readers keep their leases, then one atomic swap
-//!   publishes it. `ALTER` derives through
-//!   [`pdqi_core::EngineSnapshot::with_fd_added`] — new conflict edges are scanned
-//!   only inside the added FD's LHS groups, never by re-pairing the whole relation;
+//! * `SET-PRIORITY` and `ALTER` commit a [`Change`] **off the serving path** through
+//!   [`SnapshotRegistry::commit`]: the replacement snapshot derives (and eagerly
+//!   re-enumerates what the change invalidated) while in-flight readers keep their
+//!   leases, then one atomic swap publishes it with the change's scope. An added FD
+//!   is scanned only inside its LHS groups, never by re-pairing the whole relation;
 //! * prepared queries are parsed once (`PREPARE`) into a shared plan cache keyed by
 //!   client-chosen ids, so repeated `EXEC`s skip parsing and classification exactly
 //!   like prepared statements in the SQL session.
@@ -33,9 +32,9 @@ use std::time::Duration;
 
 use pdqi_constraints::FunctionalDependency;
 use pdqi_core::{
-    BatchExecutor, BatchRequest, BatchResponse, ChangeScope, ChunkTuner, Parallelism,
-    PreparedQuery, SnapshotLease, SnapshotRegistry, SubscribeOptions, SubscriptionEvent,
-    SubscriptionManager, WriteCoalescer, WriteFrame,
+    BatchExecutor, BatchRequest, BatchResponse, Change, ChunkTuner, Parallelism, PreparedQuery,
+    SnapshotLease, SnapshotRegistry, SubscribeOptions, SubscriptionEvent, SubscriptionManager,
+    WriteCoalescer, WriteFrame,
 };
 use pdqi_priority::Priority;
 use pdqi_relation::{TupleId, Value, ValueType};
@@ -616,30 +615,16 @@ fn dispatch(state: &ServerState, request: &Request, subs: &mut ConnectionSubs) -
             format!("OK unsubscribed sub={sub}")
         }
         Request::Alter { table, fd } => {
-            let parallelism = state.parallelism;
-            let revised = state.registry.revise_scoped(table, |current| {
+            let committed = state.registry.commit(table, None, state.parallelism, |current| {
                 let ctx = current.context_of(table).ok_or_else(|| {
                     format!("registry snapshot for `{table}` does not contain that relation")
                 })?;
-                let parsed = FunctionalDependency::parse(ctx.instance().schema(), fd)
+                let fd = FunctionalDependency::parse(ctx.instance().schema(), fd)
                     .map_err(|e| e.to_string())?;
-                // The derivation scans for new conflict edges only inside the added
-                // FD's LHS groups and re-partitions only the components those edges
-                // touch; the reported scope lets subscription observers skip queries
-                // the schema change provably cannot affect.
-                current
-                    .with_fd_added_reported(table, parsed, parallelism)
-                    .map(|(snapshot, report)| {
-                        let scope = ChangeScope::Schema {
-                            relation: table.clone(),
-                            affected: report.affected,
-                        };
-                        (snapshot, scope)
-                    })
-                    .map_err(|e| e.to_string())
+                Ok::<_, String>(Change::AddFd { relation: table.clone(), fd })
             });
-            match revised {
-                Ok(generation) => {
+            match committed {
+                Ok((generation, _)) => {
                     state.alters_applied.fetch_add(1, Ordering::Relaxed);
                     format!("OK altered {table} gen={generation}")
                 }
@@ -649,26 +634,16 @@ fn dispatch(state: &ServerState, request: &Request, subs: &mut ConnectionSubs) -
         Request::SetPriority { table, pairs } => {
             let pairs: Vec<(TupleId, TupleId)> =
                 pairs.iter().map(|&(w, l)| (TupleId(w), TupleId(l))).collect();
-            let parallelism = state.parallelism;
-            let revised =
-                state.registry.revise_scoped(table, |current| {
-                    let graph = Arc::clone(current.context_of(table).ok_or_else(|| {
+            let committed = state.registry.commit(table, None, state.parallelism, |current| {
+                let ctx = current.context_of(table).ok_or_else(|| {
                     format!("registry snapshot for `{table}` does not contain that relation")
-                })?.graph());
-                    let priority = Priority::from_pairs(graph, &pairs)
-                        .map_err(|e| format!("priority cannot be installed: {e}"))?;
-                    // The reported component set scopes the swap: observers skip every
-                    // query whose footprint the revision provably did not touch.
-                    current
-                        .with_priority_revalidated_reported_for(table, priority, parallelism)
-                        .map(|(snapshot, affected)| {
-                            let scope = ChangeScope::Priority { relation: table.clone(), affected };
-                            (snapshot, scope)
-                        })
-                        .map_err(|e| e.to_string())
-                });
-            match revised {
-                Ok(generation) => format!("OK swapped {table} gen={generation}"),
+                })?;
+                let priority = Priority::from_pairs(Arc::clone(ctx.graph()), &pairs)
+                    .map_err(|e| format!("priority cannot be installed: {e}"))?;
+                Ok::<_, String>(Change::Priority { relation: table.clone(), priority })
+            });
+            match committed {
+                Ok((generation, _)) => format!("OK swapped {table} gen={generation}"),
                 Err(e) => format!("ERR {e}"),
             }
         }

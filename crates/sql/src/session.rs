@@ -11,15 +11,14 @@
 //! Two cache layers keep repeated statements cheap, both flowing through the
 //! `pdqi-core` prepared-query pipeline:
 //!
-//! * the registry's per-table snapshot, built on first use. `INSERT` and `DELETE`
-//!   publish **delta-derived** replacements through [`SnapshotRegistry::apply`] — only
-//!   the conflict components the mutation touches are re-partitioned and re-enumerated,
-//!   everything else (including the memo) carries over. `ALTER TABLE … ADD FD` derives
-//!   through [`EngineSnapshot::with_fd_added`](EngineSnapshot::with_fd_added) (new
-//!   edges are scanned only inside the added FD's LHS groups), and `PREFER` statements
-//!   **coalesce**: consecutive preferences on one table batch into a single
-//!   priority-revalidation derivation + swap at the next read, mirroring how `MUTATE`
-//!   batches rows. Every delta path is a registry compare-and-swap, falling back to a
+//! * the registry's per-table snapshot, built on first use. `INSERT`, `DELETE`,
+//!   `ALTER TABLE … ADD FD` and `PREFER` publish **delta-derived** replacements by
+//!   committing a [`Change`] through [`SnapshotRegistry::commit`] — only the conflict
+//!   components the change touches are re-partitioned and re-enumerated, everything
+//!   else (including the memo) carries over. `PREFER` statements **coalesce**:
+//!   consecutive preferences on one table batch into a single priority change + swap
+//!   at the next read, mirroring how `MUTATE` batches rows. Every commit is a registry
+//!   compare-and-swap on the generation this session last wrote, falling back to a
 //!   rebuild only when another writer got between this session and the registry (see
 //!   [`Session::schema_delta_stats`] for the accounting). Repeated `SELECT`s against
 //!   an unchanged table share the snapshot's component and answer memos, across every
@@ -30,12 +29,13 @@
 //!   SQL surface never alters (FDs constrain rows, they do not reshape them).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::convert::Infallible;
 use std::fmt;
 use std::sync::Arc;
 
 use pdqi_constraints::{FdSet, FunctionalDependency};
 use pdqi_core::{
-    ChangeScope, ChunkTuner, EngineBuilder, EngineSnapshot, Mutation, Parallelism, PreparedQuery,
+    Change, ChunkTuner, EngineBuilder, EngineSnapshot, Mutation, Parallelism, PreparedQuery,
     ReviseError, Semantics, SnapshotLease, SnapshotRegistry, SubscribeOptions, Subscribed,
     SubscriptionEvent, SubscriptionInfo, SubscriptionManager, WindowStats,
 };
@@ -145,8 +145,7 @@ struct PreparedSelect {
 /// effectively consecutive `PREFER`s coalesced into shared swaps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SchemaDeltaStats {
-    /// `ALTER TABLE … ADD FD` statements applied through
-    /// [`EngineSnapshot::with_fd_added`](EngineSnapshot::with_fd_added).
+    /// `ALTER TABLE … ADD FD` statements applied as a [`Change::AddFd`] commit.
     pub fds_delta: u64,
     /// `ALTER TABLE … ADD FD` statements that fell back to the mark-stale/rebuild path.
     pub fds_rebuild: u64,
@@ -173,12 +172,12 @@ pub struct Session {
     /// next snapshot read rebuilds and re-publishes through the registry. Every
     /// catalog-changing statement avoids this path when the registry still serves the
     /// snapshot this session last wrote: `INSERT`/`DELETE` apply **as mutation
-    /// deltas** (see [`SnapshotRegistry::apply`]), `ALTER TABLE … ADD FD` as a
+    /// deltas** (see [`SnapshotRegistry::commit`]), `ALTER TABLE … ADD FD` as a
     /// schema delta, and queued `PREFER`s as one coalesced priority derivation.
     stale: BTreeSet<String>,
     /// Per-table count of `PREFER` statements recorded in the catalog but not yet
     /// installed into the served snapshot; they flush as **one** coalesced
-    /// priority-revalidation swap right before the next snapshot read.
+    /// priority-change swap right before the next snapshot read.
     pending_prefers: BTreeMap<String, u64>,
     /// Delta-vs-rebuild accounting for `ALTER`/`PREFER` (see [`SchemaDeltaStats`]).
     schema_stats: SchemaDeltaStats,
@@ -510,26 +509,15 @@ impl Session {
     /// Routes `ALTER TABLE … ADD FD` through the registry **as a schema delta** when
     /// the served snapshot is still the one this session last wrote: the published
     /// replacement scans for new conflict edges only inside the added FD's LHS groups
-    /// and re-partitions only the components those edges touch
-    /// ([`EngineSnapshot::with_fd_added`](EngineSnapshot::with_fd_added)). The
-    /// generation check runs under the registry's per-table revision lock, exactly
-    /// like the `INSERT`/`DELETE` delta path; interference from another writer (or a
-    /// delta error) falls back to mark-stale + rebuild.
+    /// and re-partitions only the components those edges touch. Like the
+    /// `INSERT`/`DELETE` delta path, it commits against the expected generation;
+    /// interference from another writer (or a delta error) falls back to mark-stale +
+    /// rebuild.
     fn add_fd_or_mark_stale(&mut self, table: &str, fd: FunctionalDependency) {
         if !self.stale.contains(table) {
             if let Some(&expected) = self.published_gen.get(table) {
-                let parallelism = self.parallelism;
-                let name = table.to_string();
-                let applied = self.registry.revise_scoped_if_generation(table, expected, |base| {
-                    base.with_fd_added_reported(&name, fd, parallelism).map(|(snapshot, report)| {
-                        let scope = ChangeScope::Schema {
-                            relation: name.clone(),
-                            affected: report.affected,
-                        };
-                        (snapshot, scope)
-                    })
-                });
-                if let Ok(Some(generation)) = applied {
+                let change = Change::AddFd { relation: table.to_string(), fd };
+                if let Some(generation) = self.commit(table, expected, change) {
                     self.published_gen.insert(table.to_string(), generation);
                     self.schema_stats.fds_delta += 1;
                     return;
@@ -553,8 +541,8 @@ impl Session {
         }
     }
 
-    /// Installs every queued `PREFER` on `table` as **one** priority-revalidation
-    /// derivation + registry swap — the coalescing described in the [module
+    /// Installs every queued `PREFER` on `table` as **one** priority change + registry
+    /// swap — the coalescing described in the [module
     /// docs](self). Runs right before any snapshot read of the table. A generation
     /// conflict (another writer swapped the slot since this session last wrote) falls
     /// back to the mark-stale/rebuild path; an installation error (for example a
@@ -578,9 +566,8 @@ impl Session {
         let entry = self.table(table)?;
         let schema = Arc::clone(&entry.schema);
         let preferences = entry.preferences.clone();
-        let parallelism = self.parallelism;
         let name = table.to_string();
-        let applied = self.registry.revise_scoped_if_generation(table, expected, |base| {
+        let applied = self.registry.commit(table, Some(expected), self.parallelism, |base| {
             let ctx = base.context_of(&name).ok_or_else(|| SqlError::UnknownTable(name.clone()))?;
             let instance = ctx.instance();
             // Resolve the *whole* catalog preference list against the served
@@ -604,28 +591,23 @@ impl Session {
             let priority = ctx
                 .priority_from_pairs(&pairs)
                 .map_err(|e| SqlError::Schema(format!("preference cannot be installed: {e}")))?;
-            let (snapshot, affected) = base
-                .with_priority_revalidated_reported_for(&name, priority, parallelism)
-                .map_err(|e| SqlError::Schema(format!("preference cannot be installed: {e}")))?;
-            Ok((snapshot, ChangeScope::Priority { relation: name.clone(), affected }))
+            Ok(Change::Priority { relation: name.clone(), priority })
         });
-        match applied {
-            Ok(Some(generation)) => {
+        let error = match applied {
+            Ok((generation, _)) => {
                 self.published_gen.insert(table.to_string(), generation);
                 self.schema_stats.prefers_delta += 1;
                 self.schema_stats.prefers_coalesced += batched;
-                Ok(())
+                return Ok(());
             }
-            Ok(None) | Err(ReviseError::UnknownTable(_)) => {
-                self.stale.insert(table.to_string());
-                self.schema_stats.prefers_rebuild += batched;
-                Ok(())
-            }
-            Err(ReviseError::Build(e)) => {
-                self.stale.insert(table.to_string());
-                self.schema_stats.prefers_rebuild += batched;
-                Err(e)
-            }
+            Err(error) => error,
+        };
+        self.stale.insert(table.to_string());
+        self.schema_stats.prefers_rebuild += batched;
+        match error {
+            ReviseError::UnknownTable(_) | ReviseError::Conflict { .. } => Ok(()),
+            ReviseError::Build(e) => Err(e),
+            other => Err(SqlError::Schema(format!("preference cannot be installed: {other}"))),
         }
     }
 
@@ -640,22 +622,28 @@ impl Session {
     /// case): the published replacement re-partitions only the affected conflict
     /// components and carries every untouched memo entry — no rebuild, no staleness.
     /// The generation check runs under the registry's per-table revision lock
-    /// ([`SnapshotRegistry::apply_if_generation`]), so a racing writer can never slip
-    /// between the check and the swap: if anyone else published since this session
-    /// last wrote, the delta is refused and the mutation falls back to the mark-stale
-    /// path (the next read rebuilds from this session's catalog).
+    /// ([`SnapshotRegistry::commit`] with an expected generation), so a racing writer
+    /// can never slip between the check and the swap: if anyone else published since
+    /// this session last wrote, the delta is refused and the mutation falls back to
+    /// the mark-stale path (the next read rebuilds from this session's catalog).
     fn apply_or_mark_stale(&mut self, table: &str, mutation: Mutation) {
         if !self.stale.contains(table) {
             if let Some(&expected) = self.published_gen.get(table) {
-                if let Ok(Some((generation, _))) =
-                    self.registry.apply_if_generation(table, &mutation, self.parallelism, expected)
-                {
+                if let Some(generation) = self.commit(table, expected, Change::Mutation(mutation)) {
                     self.published_gen.insert(table.to_string(), generation);
                     return;
                 }
             }
         }
         self.stale.insert(table.to_string());
+    }
+
+    /// Commits a ready-made `change` to `table` if its generation is still `expected`,
+    /// returning the new generation.
+    fn commit(&self, table: &str, expected: u64, change: Change) -> Option<u64> {
+        let change = |_: &EngineSnapshot| Ok::<_, Infallible>(change);
+        let committed = self.registry.commit(table, Some(expected), self.parallelism, change);
+        committed.ok().map(|(generation, _)| generation)
     }
 
     /// Builds and publishes every catalog table that is stale or unpublished, returning

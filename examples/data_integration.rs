@@ -13,7 +13,7 @@ use pdqi::cleaning::{Cleaner, DataSource, Integration, ResolutionRule};
 use pdqi::datagen::IntegrationScenario;
 use pdqi::priority::priority_from_source_reliability;
 use pdqi::query::builder::{atom, exists, var};
-use pdqi::{EngineBuilder, FamilyKind, PreparedQuery, RelationInstance};
+use pdqi::{Change, EngineBuilder, FamilyKind, Parallelism, PreparedQuery, RelationInstance};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -46,7 +46,8 @@ fn main() {
     println!("Repairs: {}", base.count_repairs());
 
     // Priority from source reliability (earlier sources are more reliable); deriving a
-    // snapshot with it shares the conflict graph and the untouched memoised work.
+    // snapshot from the priority change shares the conflict graph and the untouched
+    // memoised work.
     let priority = priority_from_source_reliability(
         Arc::clone(base.graph()),
         &integration.primary_sources(),
@@ -57,7 +58,8 @@ fn main() {
         priority.edge_count(),
         base.graph().edge_count()
     );
-    let snapshot = base.with_priority(priority).expect("the priority fits the snapshot");
+    let change = Change::Priority { relation: "Mgr".to_string(), priority };
+    let (snapshot, _) = base.derive(&change, Parallelism::sequential()).expect("the priority fits");
 
     // How many departments have a *certain* manager under each family?
     let dept_with_manager =

@@ -4,16 +4,16 @@
 //!
 //! The example integrates the three sources of Example 1 into an inconsistent manager
 //! relation, freezes it into an engine snapshot, prepares the paper's queries Q1 and Q2
-//! once, and then derives a snapshot with the Example 3 reliability preferences to see
-//! how the preferred consistent answers change — the builder/prepared flow that
-//! amortizes all repair-space work across executions.
+//! once, and then derives a snapshot from a `Change` installing the Example 3 reliability
+//! preferences to see how the preferred consistent answers change — the
+//! builder/prepared/derive flow that amortizes all repair-space work across executions.
 
 use std::sync::Arc;
 
 use pdqi::priority::{priority_from_source_reliability, SourceOrder};
 use pdqi::{
-    EngineBuilder, FamilyKind, FdSet, PreparedQuery, RelationInstance, RelationSchema, Value,
-    ValueType,
+    Change, EngineBuilder, FamilyKind, FdSet, Parallelism, PreparedQuery, RelationInstance,
+    RelationSchema, Value, ValueType,
 };
 
 fn main() {
@@ -84,15 +84,21 @@ fn main() {
     }
 
     // Example 3: source s3 is less reliable than s1 and s2 (s1 vs s2 unknown).
-    // Deriving a snapshot with the new priority is cheap: the conflict graph is shared
-    // and only the components the priority touches lose their memoised work.
+    // Deriving a snapshot from the priority change is cheap: the conflict graph is shared
+    // and only the components the priority touches are re-enumerated.
     let mut order = SourceOrder::new();
     order.prefer("s1", "s3").prefer("s2", "s3");
     let sources = vec!["s1".to_string(), "s2".to_string(), "s3".to_string(), "s3".to_string()];
     let priority = priority_from_source_reliability(Arc::clone(snapshot.graph()), &sources, &order);
-    let revised = snapshot.with_priority(priority).expect("the priority fits the snapshot");
+    let change = Change::Priority { relation: "Mgr".to_string(), priority };
+    let (revised, report) =
+        snapshot.derive(&change, Parallelism::sequential()).expect("the priority fits");
 
     println!("\nWith the Example 3 reliability priority, under G-Rep:");
+    println!(
+        "  derivation: {} component(s) touched, {} memo entries carried, {} re-enumerated",
+        report.invalidated_components, report.carried_entries, report.recomputed_entries
+    );
     println!("  preferred repairs: {}", revised.preferred_repairs(FamilyKind::Global, 10).len());
     for (name, query) in [("Q1", &q1), ("Q2", &q2)] {
         let outcome = query.consistent_answer(&revised, FamilyKind::Global).expect("valid query");

@@ -18,8 +18,9 @@
 //!    against a snapshot under any [`FamilyKind`] and [`Semantics`] streams an
 //!    [`AnswerSet`]. Per-component preferred repairs and full answers are memoised in
 //!    the snapshot, so repeated and overlapping executions skip the expensive work.
-//! 3. [`EngineSnapshot::with_priority`] revises preferences without rebuilding,
-//!    invalidating only the memo entries of conflict components the change touches.
+//! 3. [`EngineSnapshot::derive`] applies a [`Change`] — a priority revision, a row
+//!    [`Mutation`] or an added FD — without rebuilding, re-enumerating only the
+//!    conflict components the change touches.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -57,7 +58,8 @@
 //! let sources: Vec<String> = ["s1", "s2", "s3", "s3"].map(String::from).into();
 //! let priority = pdqi::priority::priority_from_source_reliability(
 //!     Arc::clone(snapshot.graph()), &sources, &order);
-//! let revised = snapshot.with_priority(priority).unwrap();
+//! let change = pdqi::Change::Priority { relation: "Mgr".to_string(), priority };
+//! let (revised, _report) = snapshot.derive(&change, pdqi::Parallelism::sequential()).unwrap();
 //! // Under the globally-optimal repairs the answer becomes certain.
 //! assert!(q2.consistent_answer(&revised, FamilyKind::Global).unwrap().certainly_true);
 //!
@@ -68,7 +70,8 @@
 //! ```
 //!
 //! For serving, a [`SnapshotRegistry`] holds one atomically-swappable snapshot per
-//! table; the SQL front end ([`Session`]) is a thin view over it, and the
+//! table and publishes changes through [`SnapshotRegistry::commit`]; the SQL front end
+//! ([`Session`]) is a thin view over it, and the
 //! `pdqi-server` crate puts a network front end (length-prefixed TCP protocol over
 //! [`BatchExecutor`]) on the same registry.
 //!
@@ -111,9 +114,9 @@ pub use pdqi_sql as sql;
 pub use pdqi_constraints::{ConflictGraph, FdSet, FunctionalDependency};
 pub use pdqi_core::{
     force_naive_plan, naive_plan_forced, plan_stats, AnswerDelta, AnswerSet, BatchExecutor,
-    BatchRequest, BatchResponse, BuildError, ChangeScope, ChunkTuner, ChunkTunerStats, CqaOutcome,
-    EngineBuilder, EngineSnapshot, FamilyKind, MemoStats, Mutation, MutationError, MutationReport,
-    Parallelism, PhysicalPlan, PlanStats, PreparedQuery, RegistryStats, RepairContext,
+    BatchRequest, BatchResponse, BuildError, Change, ChangeError, ChangeReport, ChangeScope,
+    ChunkTuner, ChunkTunerStats, CqaOutcome, EngineBuilder, EngineSnapshot, FamilyKind, MemoStats,
+    Mutation, Parallelism, PhysicalPlan, PlanStats, PreparedQuery, RegistryStats, RepairContext,
     ReportStrategy, RouteSpec, Semantics, Shard, ShardPlan, SnapshotLease, SnapshotRegistry,
     SubscribeOptions, SubscribeStats, Subscribed, SubscriptionEvent, SubscriptionInfo,
     SubscriptionManager, TableStats, WindowStats, WriteCoalescer, WriteError, WriteFrame,

@@ -16,8 +16,8 @@ use pdqi::server::{
     ExecOutcome, ServerConfig, ServerHandle,
 };
 use pdqi::{
-    EngineBuilder, EngineSnapshot, FamilyKind, FdSet, PreparedQuery, RelationInstance, RouteSpec,
-    Semantics, ShardPlan, SnapshotRegistry, TupleId, Value,
+    Change, EngineBuilder, EngineSnapshot, FamilyKind, FdSet, Parallelism, PreparedQuery,
+    RelationInstance, RouteSpec, Semantics, ShardPlan, SnapshotRegistry, TupleId, Value,
 };
 
 const FAMILIES: [FamilyKind; 5] = [
@@ -213,7 +213,9 @@ fn coordinator_answers_are_bit_identical_across_shard_counts() {
             let base = mirror_snapshot(&tracked, &fds);
             let typed: Vec<(TupleId, TupleId)> =
                 pairs.iter().map(|&(w, l)| (TupleId(w), TupleId(l))).collect();
-            base.with_priority_pairs(&typed).unwrap()
+            let priority = base.context().priority_from_pairs(&typed).unwrap();
+            let change = Change::Priority { relation: "R".to_string(), priority };
+            base.derive(&change, Parallelism::sequential()).unwrap().0
         };
         assert_bit_identical(
             &mut client,

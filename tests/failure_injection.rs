@@ -1,17 +1,24 @@
 //! Failure injection across the public surface: malformed queries, malformed SQL,
 //! schema violations, illegal priorities and unsupported closed-form requests must all
-//! surface as errors (never panics) and must leave the surrounding state usable.
+//! surface as errors (never panics) and must leave the surrounding state usable — and a
+//! panic inside a registry write (a change closure, a derivation or a swap observer)
+//! must never leave a table unusable.
 
+use std::convert::Infallible;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use pdqi::aggregate::{range_closed_form, AggregateFunction, AggregateQuery, ClosedFormError};
 use pdqi::core::cqa::preferred_consistent_answer;
+use pdqi::core::{ReviseError, SwapEvent, SwapObserver};
+use pdqi::datagen::multi_chain_instance;
 use pdqi::priority::PriorityError;
 use pdqi::query::parse_formula;
 use pdqi::sql::Session;
 use pdqi::{
-    EngineBuilder, FamilyKind, FdSet, RelationInstance, RelationSchema, RepairContext, TupleId,
-    Value, ValueType,
+    Change, ChangeScope, EngineBuilder, EngineSnapshot, FamilyKind, FdSet, Mutation, Parallelism,
+    PreparedQuery, RelationInstance, RelationSchema, RepairContext, Semantics, SnapshotRegistry,
+    TupleId, Value, ValueType, WriteCoalescer, WriteFrame,
 };
 
 fn mgr_context() -> RepairContext {
@@ -180,4 +187,95 @@ fn cleaning_without_a_total_priority_is_an_error_not_a_guess() {
         .unwrap();
     assert!(scored.priority().is_total());
     assert!(scored.clean().is_ok());
+}
+
+/// A served two-chain table `R` plus a write coalescer over the same registry.
+fn served_table() -> (Arc<SnapshotRegistry>, Arc<WriteCoalescer>) {
+    let (instance, fds) = multi_chain_instance(2, 3);
+    let registry = SnapshotRegistry::shared();
+    registry.publish("R", EngineBuilder::new().relation(instance, fds).build().unwrap());
+    let coalescer = WriteCoalescer::new(Arc::clone(&registry), Parallelism::sequential());
+    (registry, coalescer)
+}
+
+/// A conflict-free row keyed `9_000 + key`: certain once inserted.
+fn fresh_row(key: i64) -> Vec<Value> {
+    vec![Value::int(9_000 + key), Value::int(0), Value::int(9_000_000 + key), Value::int(0)]
+}
+
+/// A commit, a coalesced write and a read on `R` all succeed, starting at `generation`.
+fn assert_table_usable(registry: &SnapshotRegistry, coalescer: &WriteCoalescer, generation: u64) {
+    let insert = |_: &EngineSnapshot| {
+        Ok::<_, Infallible>(Change::Mutation(Mutation::new().insert("R", fresh_row(1))))
+    };
+    let seq = Parallelism::sequential();
+    let (committed, report) = registry.commit("R", Some(generation), seq, insert).unwrap();
+    assert_eq!((committed, report.inserted), (generation + 1, 1));
+    let outcome = coalescer.apply("R", WriteFrame::new(vec![fresh_row(2)], Vec::new())).unwrap();
+    assert_eq!((outcome.generation, outcome.inserted), (generation + 2, 1));
+    let lease = registry.read("R").expect("the table is still served");
+    assert_eq!(lease.generation(), generation + 2);
+    let query = PreparedQuery::parse("EXISTS b,c,d . R(x,b,c,d)").unwrap();
+    let certain: Vec<Vec<Value>> =
+        query.execute(lease.snapshot(), FamilyKind::Rep, Semantics::Certain).unwrap().collect();
+    assert!(certain.contains(&vec![Value::int(9_001)]), "committed row is served");
+    assert!(certain.contains(&vec![Value::int(9_002)]), "coalesced row is served");
+}
+
+#[test]
+fn a_panicking_change_leaves_the_table_at_its_last_good_generation() {
+    let (registry, coalescer) = served_table();
+    let seq = Parallelism::sequential();
+    let committed = registry.commit("R", None, seq, |_| -> Result<Change, Infallible> {
+        panic!("injected change failure")
+    });
+    assert!(
+        matches!(&committed, Err(ReviseError::Panicked(message)) if message.contains("injected")),
+        "{committed:?}"
+    );
+    let revised =
+        registry.revise_scoped("R", |_| -> Result<(EngineSnapshot, ChangeScope), Infallible> {
+            panic!("injected revision failure")
+        });
+    assert!(matches!(revised, Err(ReviseError::Panicked(_))));
+    assert_eq!(registry.generation("R"), 1, "the slot is untouched");
+    assert_eq!(registry.stats().panics, 2);
+    assert_table_usable(&registry, &coalescer, 1);
+}
+
+/// Panics on every swap.
+struct PanickingObserver;
+
+impl SwapObserver for PanickingObserver {
+    fn on_swap(&self, _: &SwapEvent<'_>) {
+        panic!("injected observer failure");
+    }
+}
+
+/// Counts the swaps it sees.
+#[derive(Default)]
+struct CountingObserver(AtomicU64);
+
+impl SwapObserver for CountingObserver {
+    fn on_swap(&self, _: &SwapEvent<'_>) {
+        self.0.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+#[test]
+fn a_panicking_observer_neither_undoes_the_swap_nor_starves_later_observers() {
+    let (registry, coalescer) = served_table();
+    let counting = Arc::new(CountingObserver::default());
+    registry.register_observer(Arc::new(PanickingObserver));
+    registry.register_observer(Arc::clone(&counting) as Arc<dyn SwapObserver>);
+    let delete = |_: &EngineSnapshot| {
+        Ok::<_, Infallible>(Change::Mutation(Mutation::new().delete("R", fresh_row(0))))
+    };
+    let (generation, _) = registry.commit("R", None, Parallelism::sequential(), delete).unwrap();
+    assert_eq!(generation, 2, "the swap stands");
+    assert_eq!(counting.0.load(Ordering::Relaxed), 1, "later observers still run");
+    assert_eq!(registry.stats().panics, 1);
+    assert_table_usable(&registry, &coalescer, 2);
+    assert_eq!(counting.0.load(Ordering::Relaxed), 3);
+    assert_eq!(registry.stats().panics, 3, "every swap's observer panic is counted");
 }

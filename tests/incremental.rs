@@ -12,12 +12,13 @@
 //!   invalidated ones are re-enumerated eagerly, and answers over untouched relations
 //!   survive with their global component ids remapped;
 //! * readers pinning registry leases while a writer replays a mutation trace through
-//!   [`SnapshotRegistry::apply`] observe monotone generations and internally
+//!   [`SnapshotRegistry::commit`] observe monotone generations and internally
 //!   consistent snapshots, and the final published state equals a fresh build of the
 //!   folded row list;
 //! * a remote client can `INSERT`/`DELETE` over the wire, with generation-carrying
 //!   responses bit-identical to the in-process replay.
 
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -27,9 +28,20 @@ use rand::SeedableRng;
 use pdqi::datagen::{multi_chain_instance, multi_chain_relations, mutation_trace, MutationEvent};
 use pdqi::server::{serve, Client, ExecMode, ExecOutcome, ServerConfig};
 use pdqi::{
-    EngineBuilder, EngineSnapshot, FamilyKind, Mutation, Parallelism, PreparedQuery,
-    RelationInstance, Semantics, SnapshotRegistry, Value,
+    Change, ChangeReport, EngineBuilder, EngineSnapshot, FamilyKind, Mutation, Parallelism,
+    PreparedQuery, RelationInstance, Semantics, SnapshotRegistry, Value,
 };
+
+/// Commits `mutation` to `table` through the registry's delta path.
+fn apply(
+    registry: &SnapshotRegistry,
+    table: &str,
+    mutation: &Mutation,
+    parallelism: Parallelism,
+) -> (u64, ChangeReport) {
+    let change = |_: &EngineSnapshot| Ok::<_, Infallible>(Change::Mutation(mutation.clone()));
+    registry.commit(table, None, parallelism, change).unwrap()
+}
 
 /// Applies a [`MutationEvent`] stream to a raw row list the way a rebuild would see
 /// it: deletes remove every matching row (order-preserving), inserts append.
@@ -237,7 +249,7 @@ fn answers_over_untouched_relations_survive_with_remapped_component_ids() {
 }
 
 /// Swap-under-load: readers pin leases and query while a writer replays a mutation
-/// trace through `SnapshotRegistry::apply`. Generations stay monotone per reader,
+/// trace through `SnapshotRegistry::commit`. Generations stay monotone per reader,
 /// every pinned snapshot answers self-consistently, and the final published snapshot
 /// equals a fresh build of the folded row list.
 #[test]
@@ -291,8 +303,7 @@ fn readers_pin_leases_while_a_writer_replays_a_mutation_trace() {
         let mut applied = 0u64;
         for event in &trace.events {
             if let Some(mutation) = mutation_of("R", event) {
-                let (generation, _) =
-                    registry.apply("R", &mutation, Parallelism::threads(2)).unwrap();
+                let (generation, _) = apply(&registry, "R", &mutation, Parallelism::threads(2));
                 applied += 1;
                 assert_eq!(generation, 1 + applied, "every mutation gets its own swap");
             }
@@ -379,7 +390,7 @@ fn replaying_a_mutation_trace_through_the_wire_matches_the_in_process_replay() {
                 };
                 let mutation = mutation_of("R", mutation_event).unwrap();
                 let (shadow_generation, report) =
-                    shadow.apply("R", &mutation, Parallelism::sequential()).unwrap();
+                    apply(&shadow, "R", &mutation, Parallelism::sequential());
                 let expected = if insert { report.inserted } else { report.deleted };
                 assert_eq!((count, generation), (expected, shadow_generation), "event {index}");
             }

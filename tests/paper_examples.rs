@@ -7,8 +7,8 @@ use pdqi::core::clean_with_total_priority;
 use pdqi::priority::priority_from_source_reliability;
 use pdqi::priority::SourceOrder;
 use pdqi::{
-    ConflictGraph, EngineBuilder, EngineSnapshot, FamilyKind, FdSet, PreparedQuery,
-    RelationInstance, RelationSchema, TupleId, TupleSet, Value, ValueType,
+    Change, ConflictGraph, EngineBuilder, EngineSnapshot, FamilyKind, FdSet, Parallelism,
+    PreparedQuery, RelationInstance, RelationSchema, TupleId, TupleSet, Value, ValueType,
 };
 
 const Q1: &str =
@@ -56,6 +56,13 @@ fn example3_priority(snapshot: &EngineSnapshot) -> pdqi::Priority {
     priority_from_source_reliability(Arc::clone(snapshot.graph()), &sources, &order)
 }
 
+/// `snapshot` revised under the Example 3 priority.
+fn example3_revision(snapshot: &EngineSnapshot) -> EngineSnapshot {
+    let priority = example3_priority(snapshot);
+    let change = Change::Priority { relation: "Mgr".to_string(), priority };
+    snapshot.derive(&change, Parallelism::sequential()).unwrap().0
+}
+
 fn answer(snapshot: &EngineSnapshot, query: &str, kind: FamilyKind) -> pdqi::CqaOutcome {
     PreparedQuery::parse(query).unwrap().consistent_answer(snapshot, kind).unwrap()
 }
@@ -88,7 +95,7 @@ fn example_3_partial_reliability_makes_q2_certainly_true_under_preferred_repairs
     assert!(before.is_undetermined());
 
     // Revising the priority derives a snapshot sharing the graph and components.
-    let revised = snapshot.with_priority(example3_priority(&snapshot)).unwrap();
+    let revised = example3_revision(&snapshot);
 
     // The preferred repairs are r1 and r2 of Example 2 (r3 uses only the unreliable s3).
     let preferred = revised.preferred_repairs(FamilyKind::Global, 10);
@@ -254,7 +261,7 @@ fn example_9_and_figure_4_the_path_conflict_graph_and_the_family_hierarchy() {
 fn figure_5_family_inclusion_chain_on_the_motivating_instance() {
     // C-Rep ⊆ G-Rep ⊆ S-Rep ⊆ L-Rep ⊆ Rep under the Example 3 priority.
     let base = example1_snapshot();
-    let snapshot = base.with_priority(example3_priority(&base)).unwrap();
+    let snapshot = example3_revision(&base);
     let by_kind: Vec<Vec<TupleSet>> =
         FamilyKind::ALL.iter().map(|kind| snapshot.preferred_repairs(*kind, 100)).collect();
     let [rep, local, semi, global, common] = &by_kind[..] else { unreachable!() };

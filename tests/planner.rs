@@ -22,8 +22,9 @@ use std::sync::{Mutex, MutexGuard};
 
 use pdqi::datagen::{multi_chain_instance, multi_chain_relations};
 use pdqi::{
-    force_naive_plan, naive_plan_forced, plan_stats, EngineBuilder, EngineSnapshot, FamilyKind,
-    FunctionalDependency, Mutation, Parallelism, PreparedQuery, Priority, Semantics,
+    force_naive_plan, naive_plan_forced, plan_stats, Change, ChangeScope, EngineBuilder,
+    EngineSnapshot, FamilyKind, FunctionalDependency, Mutation, Parallelism, PreparedQuery,
+    Priority, Semantics,
 };
 
 /// Serialises the tests in this binary: they flip the process-wide naive-plan switch
@@ -60,7 +61,9 @@ fn prioritised_snapshot() -> EngineSnapshot {
         .map(|(_, &(a, b))| (a, b))
         .collect();
     assert!(!pairs.is_empty(), "the chain workload must conflict");
-    base.with_priority_pairs(&pairs).unwrap()
+    let priority = base.context().priority_from_pairs(&pairs).unwrap();
+    let change = Change::Priority { relation: "R".to_string(), priority };
+    base.derive(&change, Parallelism::sequential()).unwrap().0
 }
 
 /// Open queries spanning the planner's decision space: a single scan, a selection, a
@@ -241,7 +244,9 @@ fn a_priority_swap_drops_only_priority_sensitive_plans_over_the_revised_relation
     let graph = std::sync::Arc::clone(snapshot.context_of("R0").unwrap().graph());
     let &(winner, loser) = graph.edges().first().expect("R0 must conflict");
     let priority = Priority::from_pairs(graph, &[(winner, loser)]).unwrap();
-    let (derived, affected) = snapshot.with_priority_reported_for("R0", priority).unwrap();
+    let change = Change::Priority { relation: "R0".to_string(), priority };
+    let (derived, report) = snapshot.derive(&change, Parallelism::sequential()).unwrap();
+    let ChangeScope::Priority { affected, .. } = report.scope else { panic!("priority scope") };
     assert!(!affected.is_empty());
 
     assert!(
@@ -310,15 +315,15 @@ fn an_fd_addition_drops_plans_only_when_it_adds_conflict_edges() {
 
     // `B -> D` already holds on the chain workload: no new edges, everything carries.
     let held = FunctionalDependency::parse(&schema, "B -> D").unwrap();
-    let derived = snapshot.with_fd_added("R0", held, Parallelism::threads(2)).unwrap();
+    let add_fd = |fd| Change::AddFd { relation: "R0".to_string(), fd };
+    let derived = snapshot.derive(&add_fd(held), Parallelism::threads(2)).unwrap().0;
     assert_eq!(derived.cached_plan_count(), snapshot.cached_plan_count());
     assert!(derived.has_cached_plan(q0.fingerprint(), FamilyKind::Global));
 
     // `B -> C` conflicts across chains: new edges reshape R0, so its plans re-cost
     // while R1's carry.
     let merging = FunctionalDependency::parse(&schema, "B -> C").unwrap();
-    let (derived, report) =
-        snapshot.with_fd_added_reported("R0", merging, Parallelism::threads(2)).unwrap();
+    let (derived, report) = snapshot.derive(&add_fd(merging), Parallelism::threads(2)).unwrap();
     assert!(report.new_edges > 0, "the merging FD must add edges");
     assert!(!derived.has_cached_plan(q0.fingerprint(), FamilyKind::Global));
     assert!(derived.has_cached_plan(q1.fingerprint(), FamilyKind::Global));

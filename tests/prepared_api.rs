@@ -1,7 +1,7 @@
 //! Integration tests for the prepared-query engine API: `EngineBuilder`,
 //! `EngineSnapshot`, `PreparedQuery` and the snapshot memo. Covers the contracts the
 //! redesign promises: snapshot immutability, derivation-equals-fresh-build under
-//! `with_priority`, prepared-query reuse across snapshots and families, and the
+//! priority changes, prepared-query reuse across snapshots and families, and the
 //! no-repeat-enumeration guarantee of the memo.
 
 use std::sync::Arc;
@@ -11,9 +11,17 @@ use rand::SeedableRng;
 
 use pdqi::datagen::{random_conflict_instance, random_priority};
 use pdqi::{
-    EngineBuilder, EngineSnapshot, FamilyKind, FdSet, PreparedQuery, RelationInstance,
-    RelationSchema, Semantics, TupleId, Value, ValueType,
+    Change, ChangeError, EngineBuilder, EngineSnapshot, FamilyKind, FdSet, Parallelism,
+    PreparedQuery, Priority, RelationInstance, RelationSchema, Semantics, TupleId, Value,
+    ValueType,
 };
+
+/// Derives a single-relation `snapshot` under `priority`.
+fn revise(snapshot: &EngineSnapshot, priority: Priority) -> Result<EngineSnapshot, ChangeError> {
+    let relation = snapshot.context().instance().schema().name().to_string();
+    let change = Change::Priority { relation, priority };
+    snapshot.derive(&change, Parallelism::sequential()).map(|(derived, _)| derived)
+}
 
 /// The paper's Example 1 instance with its two key dependencies.
 fn example1() -> (RelationInstance, FdSet) {
@@ -65,7 +73,7 @@ fn snapshots_are_immutable_and_cheap_to_share() {
         .context()
         .priority_from_pairs(&[(TupleId(0), TupleId(2)), (TupleId(1), TupleId(3))])
         .unwrap();
-    let revised = snapshot.with_priority(priority).unwrap();
+    let revised = revise(&snapshot, priority).unwrap();
     assert_eq!(snapshot.priority().edge_count(), 0, "original priority unchanged");
     assert_eq!(revised.priority().edge_count(), 2);
     assert_eq!(snapshot.preferred_repairs(FamilyKind::Global, 10).len(), 3);
@@ -106,7 +114,7 @@ fn executing_twice_repeats_no_component_enumeration() {
 
 #[test]
 fn with_priority_answers_match_a_fresh_build() {
-    // On random instances and random priorities: deriving a snapshot via with_priority
+    // On random instances and random priorities: deriving a snapshot via a priority change
     // must be indistinguishable (answer-wise) from building from scratch.
     let mut rng = StdRng::seed_from_u64(42);
     for round in 0..8 {
@@ -118,7 +126,7 @@ fn with_priority_answers_match_a_fresh_build() {
         }
         let priority = random_priority(Arc::clone(base.graph()), 0.7, &mut rng);
         let pairs = priority.edges();
-        let derived = base.with_priority(priority).unwrap();
+        let derived = revise(&base, priority).unwrap();
         let fresh =
             EngineBuilder::new().relation(instance, fds).priority_pairs(&pairs).build().unwrap();
         for kind in FamilyKind::ALL {
@@ -150,7 +158,7 @@ fn with_priority_keeps_priority_independent_memo_entries() {
     let warmed = snapshot.memo_stats();
     assert!(warmed.component_misses > 0);
     let priority = snapshot.context().priority_from_pairs(&[(TupleId(0), TupleId(1))]).unwrap();
-    let revised = snapshot.with_priority(priority).unwrap();
+    let revised = revise(&snapshot, priority).unwrap();
     assert_eq!(revised.count_repairs(), 3);
     let stats = revised.memo_stats();
     assert_eq!(stats.component_misses, 0, "Rep enumeration must carry over");
@@ -164,8 +172,8 @@ fn one_prepared_query_serves_every_snapshot_and_family() {
 
     let plain = EngineBuilder::new().relation(instance.clone(), fds.clone()).build().unwrap();
     // Example 3's reliability priority via explicit pairs.
-    let preferred =
-        plain.with_priority_pairs(&[(TupleId(0), TupleId(2)), (TupleId(1), TupleId(3))]).unwrap();
+    let pairs = [(TupleId(0), TupleId(2)), (TupleId(1), TupleId(3))];
+    let preferred = revise(&plain, plain.context().priority_from_pairs(&pairs).unwrap()).unwrap();
 
     // Same PreparedQuery object across two snapshots and all five families.
     assert!(query.consistent_answer(&plain, FamilyKind::Rep).unwrap().is_undetermined());
@@ -191,7 +199,7 @@ fn derived_snapshots_agree_with_fresh_builds_on_random_workloads() {
             EngineBuilder::new().relation(instance.clone(), fds.clone()).build().unwrap();
         let priority = random_priority(Arc::clone(snapshot.graph()), 0.5, &mut rng);
         let pairs = priority.edges();
-        let snapshot = snapshot.with_priority(priority).unwrap();
+        let snapshot = revise(&snapshot, priority).unwrap();
         // A fresh build with the same priority pairs: no carried-over memo at all.
         let fresh =
             EngineBuilder::new().relation(instance, fds).priority_pairs(&pairs).build().unwrap();
@@ -289,5 +297,5 @@ fn builder_reports_errors_and_snapshot_rejects_foreign_priorities() {
     };
     let foreign = EngineBuilder::new().relation(other, other_fds).build().unwrap();
     let priority = foreign.context().priority_from_pairs(&[(TupleId(0), TupleId(1))]).unwrap();
-    assert!(snapshot.with_priority(priority).is_err());
+    assert!(revise(&snapshot, priority).is_err());
 }

@@ -3,7 +3,7 @@
 //!
 //! The pinned acceptance properties:
 //!
-//! * threads serving queries while another thread publishes `with_priority_revalidated`
+//! * threads serving queries while another thread commits priority changes
 //!   revisions only ever observe a **fully-built** old or new snapshot — generations
 //!   are monotone per reader and every answer is bit-identical to recomputing on a
 //!   cold copy of the observed snapshot (a torn priority/memo pair would break that);
@@ -23,8 +23,18 @@ use rand::SeedableRng;
 use pdqi::datagen::{revision_trace, TraceEvent};
 use pdqi::server::{serve, Client, ExecMode, ExecOutcome, ExecSpec, ServerConfig};
 use pdqi::{
-    EngineBuilder, FamilyKind, Parallelism, PreparedQuery, Priority, Semantics, SnapshotRegistry,
+    Change, EngineBuilder, EngineSnapshot, FamilyKind, Parallelism, PreparedQuery, Priority,
+    Semantics, SnapshotRegistry,
 };
+
+/// The change installing the priority `pairs` orient over `current`'s graph.
+fn priority_change(
+    current: &EngineSnapshot,
+    pairs: &[(pdqi::TupleId, pdqi::TupleId)],
+) -> Result<Change, pdqi::priority::PriorityError> {
+    let priority = Priority::from_pairs(Arc::clone(current.context().graph()), pairs)?;
+    Ok(Change::Priority { relation: "R".to_string(), priority })
+}
 
 /// A registry serving one multi-chain table, plus the trace that revises it.
 fn traced_registry(
@@ -125,10 +135,8 @@ fn swap_under_load_readers_only_observe_fully_built_snapshots() {
         // revised snapshot off the serving path with eager revalidation.
         for pairs in &revisions {
             registry
-                .revise("R", |current| {
-                    let graph = Arc::clone(current.context().graph());
-                    let priority = Priority::from_pairs(graph, pairs)?;
-                    current.with_priority_revalidated(priority, Parallelism::threads(2))
+                .commit("R", None, Parallelism::threads(2), |current| {
+                    priority_change(current, pairs)
                 })
                 .expect("revision builds");
         }
@@ -445,10 +453,8 @@ fn replaying_a_revision_trace_through_the_wire_matches_the_in_process_replay() {
                 let wire: Vec<(u32, u32)> = pairs.iter().map(|&(w, l)| (w.0, l.0)).collect();
                 client.set_priority("R", &wire).unwrap();
                 shadow
-                    .revise("R", |current| {
-                        let graph = Arc::clone(current.context().graph());
-                        let priority = Priority::from_pairs(graph, pairs)?;
-                        current.with_priority_revalidated(priority, Parallelism::sequential())
+                    .commit("R", None, Parallelism::sequential(), |current| {
+                        priority_change(current, pairs)
                     })
                     .unwrap();
             }

@@ -3,7 +3,7 @@
 //! * **builder bit-identity** — a snapshot built with any degree of parallelism has the
 //!   same conflict graphs, components, global component ids, shard plans, preferred
 //!   repairs (all five families, in enumeration order) and answers as a sequential
-//!   build, including after a `with_priority` derivation with parallel revalidation;
+//!   build, including after a priority change with parallel re-enumeration;
 //! * **chunk coverage** — the adaptive repair-product split covers `[0, total)` exactly
 //!   once, with no gaps and no overlaps, for arbitrary totals (property-tested well
 //!   beyond `u64`, where `usize` arithmetic would silently truncate);
@@ -15,8 +15,8 @@ use std::sync::Arc;
 use pdqi::core::prepared::{adaptive_chunk_count, chunk_ranges};
 use pdqi::datagen::{example4_instance, multi_chain_relations, skewed_chain_instance};
 use pdqi::{
-    EngineBuilder, EngineSnapshot, FamilyKind, Parallelism, PreparedQuery, Priority, Semantics,
-    TupleId,
+    Change, EngineBuilder, EngineSnapshot, FamilyKind, Parallelism, PreparedQuery, Priority,
+    Semantics, TupleId,
 };
 use proptest::prelude::*;
 
@@ -121,10 +121,9 @@ fn revalidated_derivations_match_fresh_builds_for_all_families() {
     // Orient two conflict edges: one in the largest chain, one in the smallest.
     let pairs = [(TupleId(0), TupleId(1)), (TupleId(13), TupleId(12))];
     let priority = Priority::from_pairs(Arc::clone(base.graph()), &pairs).unwrap();
+    let change = Change::Priority { relation: "R".to_string(), priority };
     for workers in [1usize, 4] {
-        let derived = base
-            .with_priority_revalidated(priority.clone(), Parallelism::threads(workers))
-            .unwrap();
+        let derived = base.derive(&change, Parallelism::threads(workers)).unwrap().0;
         let fresh = EngineBuilder::new()
             .relation(instance.clone(), fds.clone())
             .priority_pairs(&pairs)

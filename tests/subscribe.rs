@@ -19,6 +19,7 @@
 //!   pushed `DELTA`, and a clean `UNSUBSCRIBE` through the TCP front end.
 
 use std::collections::BTreeSet;
+use std::convert::Infallible;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -29,12 +30,38 @@ use pdqi::datagen::{
     multi_chain_instance, multi_chain_relations, mutation_trace, revision_trace, MutationEvent,
     TraceEvent,
 };
+use pdqi::priority::PriorityError;
 use pdqi::server::{serve, Client, PushEvent, ServerConfig};
 use pdqi::{
-    AnswerDelta, ChangeScope, EngineBuilder, FamilyKind, Mutation, Parallelism, PreparedQuery,
-    Priority, RelationInstance, Semantics, SnapshotRegistry, SubscriptionEvent,
-    SubscriptionManager, Value,
+    AnswerDelta, Change, ChangeReport, EngineBuilder, EngineSnapshot, FamilyKind, Mutation,
+    Parallelism, PreparedQuery, Priority, RelationInstance, Semantics, SnapshotRegistry,
+    SubscriptionEvent, SubscriptionManager, TupleId, Value,
 };
+
+/// Commits `mutation` to `table` through the registry's delta path.
+fn apply(
+    registry: &SnapshotRegistry,
+    table: &str,
+    mutation: &Mutation,
+    parallelism: Parallelism,
+) -> (u64, ChangeReport) {
+    let change = |_: &EngineSnapshot| Ok::<_, Infallible>(Change::Mutation(mutation.clone()));
+    registry.commit(table, None, parallelism, change).unwrap()
+}
+
+/// Commits the priority `pairs` orient over `table`'s conflict graph.
+fn reprioritise(
+    registry: &SnapshotRegistry,
+    table: &str,
+    pairs: &[(TupleId, TupleId)],
+    parallelism: Parallelism,
+) -> u64 {
+    let change = |current: &EngineSnapshot| {
+        let priority = Priority::from_pairs(Arc::clone(current.context().graph()), pairs)?;
+        Ok::<_, PriorityError>(Change::Priority { relation: table.to_string(), priority })
+    };
+    registry.commit(table, None, parallelism, change).unwrap().0
+}
 
 /// One polling shadow of a subscription: re-executes in full and diffs.
 struct Poller {
@@ -133,7 +160,7 @@ fn pushed_deltas_are_bit_identical_to_polling_at_every_parallelism() {
                     Mutation::new().delete_rows("R", rows.iter().cloned())
                 }
             };
-            registry.apply("R", &mutation, parallelism).unwrap();
+            apply(&registry, "R", &mutation, parallelism);
             // A from-scratch build of the folded rows is the ground truth the pushed
             // state must agree with.
             let fresh = EngineBuilder::new()
@@ -201,18 +228,7 @@ fn revision_deltas_match_polling_and_rep_subscribers_never_reexecute() {
             continue;
         };
         revisions += 1;
-        registry
-            .revise_scoped("R", |current| {
-                let graph = Arc::clone(current.context().graph());
-                let priority = Priority::from_pairs(graph, pairs)?;
-                let (revised, affected) =
-                    current.with_priority_revalidated_reported_for("R", priority, parallelism)?;
-                Ok::<_, pdqi::BuildError>((
-                    revised,
-                    ChangeScope::Priority { relation: "R".to_string(), affected },
-                ))
-            })
-            .unwrap();
+        reprioritise(&registry, "R", pairs, parallelism);
         let (added, removed, generation) = poller.poll(&registry, parallelism);
         assert_delta(
             &global.drain(subscribed.id),
@@ -254,7 +270,7 @@ fn swaps_that_cannot_affect_a_query_run_zero_reexecutions() {
 
     // A mutation of a table the query does not read: proven unchanged, no execution.
     let victim: Vec<Value> = tables[1].0.iter().next().unwrap().1.values().to_vec();
-    registry.apply("R1", &Mutation::new().delete_rows("R1", [victim]), parallelism).unwrap();
+    apply(&registry, "R1", &Mutation::new().delete_rows("R1", [victim]), parallelism);
     assert!(manager.drain(subscribed.id).is_empty());
     let stats = manager.stats();
     assert_eq!(stats.executions, 1, "unrelated mutation must not re-execute");
@@ -267,20 +283,7 @@ fn swaps_that_cannot_affect_a_query_run_zero_reexecutions() {
         let edges = lease.snapshot().graph().edges().to_vec();
         edges.into_iter().take(2).collect()
     };
-    let revise = |pairs: &[(pdqi::TupleId, pdqi::TupleId)]| {
-        registry
-            .revise_scoped("R0", |current| {
-                let graph = Arc::clone(current.context().graph());
-                let priority = Priority::from_pairs(graph, pairs)?;
-                let (revised, affected) =
-                    current.with_priority_revalidated_reported_for("R0", priority, parallelism)?;
-                Ok::<_, pdqi::BuildError>((
-                    revised,
-                    ChangeScope::Priority { relation: "R0".to_string(), affected },
-                ))
-            })
-            .unwrap()
-    };
+    let revise = |pairs: &[(TupleId, TupleId)]| reprioritise(&registry, "R0", pairs, parallelism);
     revise(&pairs);
     assert_eq!(manager.stats().executions, 2, "a real revision must re-execute");
 
@@ -325,9 +328,8 @@ fn concurrent_writer_produces_gapless_ordered_deltas_that_fold_to_the_final_answ
                     Value::int(6_000_000 + i as i64),
                     Value::int(0),
                 ];
-                registry
-                    .apply("R", &Mutation::new().insert_rows("R", [row]), Parallelism::sequential())
-                    .unwrap();
+                let mutation = Mutation::new().insert_rows("R", [row]);
+                apply(registry, "R", &mutation, Parallelism::sequential());
             }
         });
         while !writer.is_finished() {
@@ -412,7 +414,7 @@ fn overflowing_subscribers_get_one_lagged_resync_then_resume() {
     let insert = |i: i64| {
         let row =
             vec![Value::int(7_000 + i), Value::int(0), Value::int(8_000_000 + i), Value::int(0)];
-        registry.apply("R", &Mutation::new().insert_rows("R", [row]), parallelism).unwrap().0
+        apply(&registry, "R", &Mutation::new().insert_rows("R", [row]), parallelism).0
     };
     insert(1);
     insert(2);

@@ -24,6 +24,7 @@
 //!   server's drain cycle, and `STATS` reports the `windows`/`writes` counters.
 
 use std::collections::{BTreeSet, VecDeque};
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -34,12 +35,39 @@ use rand::SeedableRng;
 use pdqi::datagen::{
     multi_chain_instance, mutation_trace, revision_trace, MutationEvent, TraceEvent,
 };
+use pdqi::priority::PriorityError;
 use pdqi::server::{serve, Client, PushEvent, ReportSpec, ServerConfig};
 use pdqi::{
-    ChangeScope, EngineBuilder, FamilyKind, Mutation, Parallelism, PreparedQuery, Priority,
-    RelationInstance, ReportStrategy, Semantics, SnapshotRegistry, SubscribeOptions,
-    SubscriptionEvent, SubscriptionManager, Value, WriteCoalescer, WriteFrame,
+    Change, ChangeReport, ChangeScope, EngineBuilder, EngineSnapshot, FamilyKind, Mutation,
+    Parallelism, PreparedQuery, Priority, RelationInstance, ReportStrategy, Semantics,
+    SnapshotRegistry, SubscribeOptions, SubscriptionEvent, SubscriptionManager, TupleId, Value,
+    WriteCoalescer, WriteFrame,
 };
+
+/// Commits `mutation` to `table` through the registry's delta path.
+fn apply(
+    registry: &SnapshotRegistry,
+    table: &str,
+    mutation: &Mutation,
+    parallelism: Parallelism,
+) -> (u64, ChangeReport) {
+    let change = |_: &EngineSnapshot| Ok::<_, Infallible>(Change::Mutation(mutation.clone()));
+    registry.commit(table, None, parallelism, change).unwrap()
+}
+
+/// Commits the priority `pairs` orient over `table`'s conflict graph.
+fn reprioritise(
+    registry: &SnapshotRegistry,
+    table: &str,
+    pairs: &[(TupleId, TupleId)],
+    parallelism: Parallelism,
+) -> u64 {
+    let change = |current: &EngineSnapshot| {
+        let priority = Priority::from_pairs(Arc::clone(current.context().graph()), pairs)?;
+        Ok::<_, PriorityError>(Change::Priority { relation: table.to_string(), priority })
+    };
+    registry.commit(table, None, parallelism, change).unwrap().0
+}
 
 /// Folds a drained event stream onto `rows`, asserting internal consistency
 /// (removed rows were present, added rows were absent, generations increase).
@@ -82,7 +110,7 @@ fn full_answer(
 /// to the identical answer, advancing every window by one generation.
 fn noop_swap(registry: &SnapshotRegistry, parallelism: Parallelism) {
     let absent = vec![Value::int(999_999), Value::int(0), Value::int(0), Value::int(0)];
-    registry.apply("R", &Mutation::new().delete_rows("R", [absent]), parallelism).unwrap();
+    apply(registry, "R", &Mutation::new().delete_rows("R", [absent]), parallelism);
 }
 
 #[test]
@@ -148,7 +176,7 @@ fn coalesced_and_windowed_streams_fold_to_the_per_generation_answer() {
                     Mutation::new().delete_rows("R", rows.iter().cloned())
                 }
             };
-            registry.apply("R", &mutation, parallelism).unwrap();
+            apply(&registry, "R", &mutation, parallelism);
             events_seen += 1;
 
             // The per-generation stream drains (and folds) every swap.
@@ -271,18 +299,7 @@ fn revision_streams_fold_identically_across_strategies() {
             continue;
         };
         revisions += 1;
-        registry
-            .revise_scoped("R", |current| {
-                let graph = Arc::clone(current.context().graph());
-                let priority = Priority::from_pairs(graph, pairs)?;
-                let (revised, affected) =
-                    current.with_priority_revalidated_reported_for("R", priority, parallelism)?;
-                Ok::<_, pdqi::BuildError>((
-                    revised,
-                    ChangeScope::Priority { relation: "R".to_string(), affected },
-                ))
-            })
-            .unwrap();
+        reprioritise(&registry, "R", pairs, parallelism);
         fold_events(&mut pergen_fold, &manager.drain(pergen.id), "per-generation");
         fold_events(&mut windowed_fold, &manager.drain(windowed.id), "windowed");
         if revisions.is_multiple_of(3) {
@@ -294,7 +311,7 @@ fn revision_streams_fold_identically_across_strategies() {
     // Quiesce through *empty* mutations: the scope names no relation, so the swap is
     // proven away without re-execution — and the window must still slide on it.
     for _ in 0..window_n {
-        registry.apply("R", &Mutation::new(), parallelism).unwrap();
+        apply(&registry, "R", &Mutation::new(), parallelism);
         fold_events(&mut windowed_fold, &manager.drain(windowed.id), "windowed (quiesce)");
     }
     fold_events(&mut coalesced_fold, &manager.drain(coalesced.id), "coalesced (quiesce)");
@@ -330,7 +347,7 @@ fn window_expiry_deltas_match_diffing_n_generation_snapshots() {
     let row = vec![Value::int(7_777), Value::int(0), Value::int(8_888_888), Value::int(0)];
     let key = vec![Value::int(7_777)];
     let (g1, _) =
-        registry.apply("R", &Mutation::new().insert_rows("R", [row.clone()]), parallelism).unwrap();
+        apply(&registry, "R", &Mutation::new().insert_rows("R", [row.clone()]), parallelism);
     let events = manager.drain(subscribed.id);
     assert_eq!(
         events,
@@ -344,7 +361,7 @@ fn window_expiry_deltas_match_diffing_n_generation_snapshots() {
 
     // Swap 2: delete it again. The per-generation answer loses the key, but the
     // window still holds the generation that had it — nothing is pushed.
-    registry.apply("R", &Mutation::new().delete_rows("R", [row]), parallelism).unwrap();
+    apply(&registry, "R", &Mutation::new().delete_rows("R", [row]), parallelism);
     assert!(manager.drain(subscribed.id).is_empty(), "a windowed delete must not report early");
 
     // Swap 3: the insert generation is still inside the 3-wide window.
@@ -408,7 +425,7 @@ fn per_subscription_queue_bounds_lag_and_resyncs_drop_pending_coalesced_deltas()
     let insert = |i: i64| {
         let row =
             vec![Value::int(7_000 + i), Value::int(0), Value::int(8_000_000 + i), Value::int(0)];
-        registry.apply("R", &Mutation::new().insert_rows("R", [row]), parallelism).unwrap().0
+        apply(&registry, "R", &Mutation::new().insert_rows("R", [row]), parallelism).0
     };
     // Changes 1-4: two flushed deltas against capacity 1 — the second overflows.
     // Change 5 folds into a *pending* delta behind the lag.
@@ -570,17 +587,20 @@ fn concurrent_writers_coalesce_through_the_revision_lock() {
 
     // Hold R's revision lock from a scoped no-op revision while k writers enqueue:
     // when the gate opens, whichever writer leads drains every queued frame inside
-    // one derivation — deterministically, because all k frames are pending before
-    // the lock frees.
+    // one derivation — deterministically, because the writers start only once the
+    // holder is inside the lock, and all k frames are pending before it frees.
     let gate = Arc::new(AtomicBool::new(false));
+    let held = Arc::new(AtomicBool::new(false));
     let k = 6usize;
     std::thread::scope(|scope| {
         let holder = {
             let registry = &registry;
             let gate = Arc::clone(&gate);
+            let held = Arc::clone(&held);
             scope.spawn(move || {
                 registry
                     .revise_scoped("R", |current| {
+                        held.store(true, Ordering::Release);
                         while !gate.load(Ordering::Acquire) {
                             std::thread::sleep(Duration::from_millis(1));
                         }
@@ -592,6 +612,9 @@ fn concurrent_writers_coalesce_through_the_revision_lock() {
                     .unwrap();
             })
         };
+        while !held.load(Ordering::Acquire) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
         let writers: Vec<_> = (0..k)
             .map(|i| {
                 let coalescer = Arc::clone(&coalescer);
