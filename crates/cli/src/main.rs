@@ -5,8 +5,8 @@
 //! ```text
 //! pdqi [--threads N] script1.sql script2.sql   # run the given scripts in order
 //! pdqi [--threads N]                           # read a script from standard input
-//! pdqi serve [--addr HOST:PORT] [--threads N] [--acceptors N] script.sql ...
-//! pdqi coord --shard HOST:PORT [--shard HOST:PORT ...] --route TABLE:KEY:SPLITS
+//! pdqi serve [--addr HOST:PORT] [--threads N] [--write-hold-ms N] script.sql ...
+//! pdqi coord [--addr HOST:PORT] --shard HOST:PORT [--shard ...] --route TABLE:KEY:SPLITS
 //! pdqi connect HOST:PORT                       # protocol lines on stdin → responses
 //! ```
 //!
@@ -17,11 +17,12 @@
 //! scatter-gather front end over running shard servers: `--shard` names each shard
 //! endpoint in key-range order, `--route` gives a table's key column and the
 //! `shards-1` ascending split values that carve its key domain (e.g.
-//! `--route Emp:Id:10` for two shards splitting at `Id = 10`). `connect` sends one
-//! request per input line (`BATCH` entries and mutation rows separated by `;`) and
-//! prints each response; after a `SUBSCRIBE`, pushed `DELTA`/`LAGGED` frames print as
-//! they arrive, and a client-side `WAIT <n> [timeout_ms]` line blocks until `n` of
-//! them arrived.
+//! `--route Emp:Id:10` for two shards splitting at `Id = 10`). Both run on one
+//! transport: one accept thread per listener and one thread per connection. `connect`
+//! sends one request per input line (`BATCH` entries and mutation rows separated by
+//! `;`) and prints each response; after a `SUBSCRIBE`, pushed `DELTA`/`LAGGED` frames
+//! print as they arrive, and a client-side `WAIT <n> [timeout_ms]` line blocks until
+//! `n` of them arrived.
 //!
 //! `--threads N` runs repair-quantified work with up to `N` worker threads
 //! (`--threads 0` or `--threads auto` uses one worker per hardware thread). Parallelism
@@ -33,12 +34,11 @@ fn usage_error(message: &str) -> ! {
     eprintln!("error: {message}");
     eprintln!("usage: pdqi [--threads N|auto] [script.sql ...]");
     eprintln!(
-        "       pdqi serve [--addr HOST:PORT] [--threads N|auto] [--acceptors N] \
-         [--write-hold-ms N] [script.sql ...]"
+        "       pdqi serve [--addr HOST:PORT] [--threads N|auto] [--write-hold-ms N] \
+         [script.sql ...]"
     );
     eprintln!(
-        "       pdqi coord [--addr HOST:PORT] [--acceptors N] --shard HOST:PORT ... \
-         --route TABLE:KEY:SPLITS ..."
+        "       pdqi coord [--addr HOST:PORT] --shard HOST:PORT ... --route TABLE:KEY:SPLITS ..."
     );
     eprintln!("       pdqi connect HOST:PORT");
     std::process::exit(2);
@@ -55,11 +55,10 @@ fn parse_threads(text: &str) -> usize {
 }
 
 /// Flags shared by the script runner and `serve`: `--threads`, plus `serve`'s
-/// `--addr`/`--acceptors`/`--write-hold-ms`; everything else is a script path.
+/// `--addr`/`--write-hold-ms`; everything else is a script path.
 struct Options {
     threads: usize,
     addr: String,
-    acceptors: usize,
     write_hold_ms: u64,
     paths: Vec<String>,
 }
@@ -68,7 +67,6 @@ fn parse_options(args: &[String], serve: bool) -> Options {
     let mut options = Options {
         threads: 1,
         addr: "127.0.0.1:4999".to_string(),
-        acceptors: 1,
         write_hold_ms: 0,
         paths: Vec::new(),
     };
@@ -92,10 +90,6 @@ fn parse_options(args: &[String], serve: bool) -> Options {
             options.threads = parse_threads(&value);
         } else if let Some(value) = serve.then(|| flag_value("--addr")).flatten() {
             options.addr = value;
-        } else if let Some(value) = serve.then(|| flag_value("--acceptors")).flatten() {
-            options.acceptors = value
-                .parse()
-                .unwrap_or_else(|_| usage_error(&format!("`{value}` is not an acceptor count")));
         } else if let Some(value) = serve.then(|| flag_value("--write-hold-ms")).flatten() {
             options.write_hold_ms = value
                 .parse()
@@ -173,7 +167,6 @@ fn serve_main(args: &[String]) {
     let tables = registry.table_names();
     let config = pdqi_server::ServerConfig {
         parallelism: session.parallelism(),
-        acceptors: options.acceptors,
         write_hold: std::time::Duration::from_millis(options.write_hold_ms),
     };
     let handle = match pdqi_server::serve(options.addr.as_str(), registry, config) {
@@ -200,7 +193,6 @@ fn coord_main(args: &[String]) {
     use std::io::Write as _;
 
     let mut addr = "127.0.0.1:4998".to_string();
-    let mut acceptors = 1usize;
     let mut shards: Vec<String> = Vec::new();
     let mut routes: Vec<pdqi_core::RouteSpec> = Vec::new();
     let mut iter = args.iter();
@@ -220,10 +212,6 @@ fn coord_main(args: &[String]) {
         };
         if let Some(value) = flag_value("--addr") {
             addr = value;
-        } else if let Some(value) = flag_value("--acceptors") {
-            acceptors = value
-                .parse()
-                .unwrap_or_else(|_| usage_error(&format!("`{value}` is not an acceptor count")));
         } else if let Some(value) = flag_value("--shard") {
             shards.push(value);
         } else if let Some(value) = flag_value("--route") {
@@ -238,7 +226,7 @@ fn coord_main(args: &[String]) {
     if shards.is_empty() {
         usage_error("coord needs at least one --shard HOST:PORT");
     }
-    let config = pdqi_server::CoordinatorConfig { acceptors };
+    let config = pdqi_server::CoordinatorConfig::default();
     let handle = match pdqi_server::coordinate(addr.as_str(), &shards, &routes, config) {
         Ok(handle) => handle,
         Err(e) => {

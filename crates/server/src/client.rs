@@ -6,7 +6,7 @@
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::io::{self, BufReader, BufWriter, Read as _};
+use std::io::{self, BufReader, BufWriter};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
@@ -14,11 +14,8 @@ use pdqi_core::{FamilyKind, Semantics};
 use pdqi_relation::ValueType;
 
 use crate::protocol::{
-    read_frame, write_frame, ExecMode, ExecSpec, FrameError, ReportSpec, Request, MAX_FRAME_BYTES,
+    read_frame, read_frame_idle, write_frame, ExecMode, ExecSpec, FrameError, ReportSpec, Request,
 };
-
-/// How often a mid-frame deadline read re-polls the socket.
-const PUSH_POLL: Duration = Duration::from_millis(50);
 
 /// Errors raised by client calls.
 #[derive(Debug)]
@@ -378,7 +375,18 @@ impl Client {
             return parse_push(&payload).map(Some);
         }
         let deadline = Instant::now() + timeout;
-        let result = self.read_frame_deadline(deadline);
+        let result = loop {
+            let wait = deadline.saturating_duration_since(Instant::now());
+            if let Err(e) =
+                self.reader.get_ref().set_read_timeout(Some(wait.max(Duration::from_millis(1))))
+            {
+                break Err(FrameError::Io(e));
+            }
+            match read_frame_idle(&mut self.reader, || true) {
+                Ok(None) if Instant::now() < deadline => {}
+                read => break read,
+            }
+        };
         self.reader.get_ref().set_read_timeout(None).ok();
         match result? {
             None => Ok(None),
@@ -396,71 +404,6 @@ impl Client {
     /// connection, yields one final `Err` on any other failure.
     pub fn events(&mut self) -> Events<'_> {
         Events { client: self, done: false }
-    }
-
-    /// Reads one frame, giving up (→ `None`) only if no byte arrives by `deadline`.
-    fn read_frame_deadline(&mut self, deadline: Instant) -> Result<Option<String>, FrameError> {
-        let mut len_bytes = [0u8; 4];
-        if !self.read_exact_deadline(&mut len_bytes, deadline, false)? {
-            return Ok(None);
-        }
-        let announced = u32::from_be_bytes(len_bytes) as usize;
-        if announced > MAX_FRAME_BYTES {
-            return Err(FrameError::TooLarge { announced });
-        }
-        let mut payload = vec![0u8; announced];
-        self.read_exact_deadline(&mut payload, deadline, true)?;
-        String::from_utf8(payload).map(Some).map_err(|_| FrameError::NotUtf8)
-    }
-
-    /// Fills `buf` with short timed reads. With `committed` false the deadline may
-    /// expire *before the first byte* (→ `Ok(false)`); after any byte — or when the
-    /// caller is already mid-frame — the read commits and polls until the frame's
-    /// bytes arrive.
-    fn read_exact_deadline(
-        &mut self,
-        buf: &mut [u8],
-        deadline: Instant,
-        mut committed: bool,
-    ) -> Result<bool, FrameError> {
-        let mut filled = 0;
-        while filled < buf.len() {
-            let now = Instant::now();
-            if !committed && now >= deadline {
-                return Ok(false);
-            }
-            let wait = if committed {
-                PUSH_POLL
-            } else {
-                deadline.saturating_duration_since(now).min(PUSH_POLL)
-            };
-            self.reader.get_ref().set_read_timeout(Some(wait.max(Duration::from_millis(1))))?;
-            match self.reader.read(&mut buf[filled..]) {
-                Ok(0) => {
-                    return Err(if filled == 0 && !committed {
-                        FrameError::Closed
-                    } else {
-                        FrameError::Io(io::Error::new(
-                            io::ErrorKind::UnexpectedEof,
-                            "connection closed mid-frame",
-                        ))
-                    });
-                }
-                Ok(n) => {
-                    filled += n;
-                    committed = true;
-                }
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock
-                            | io::ErrorKind::TimedOut
-                            | io::ErrorKind::Interrupted
-                    ) => {}
-                Err(e) => return Err(FrameError::Io(e)),
-            }
-        }
-        Ok(true)
     }
 
     /// Replaces `table`'s priority with explicit `winner ≻ loser` tuple-id pairs and

@@ -1,10 +1,10 @@
 //! The scatter-gather coordinator: one protocol front end over N key-range shards.
 //!
-//! A coordinator is a *serve-compatible* process: it listens on the same
-//! length-prefixed frame protocol `pdqi serve` speaks, so `pdqi connect` (and
-//! [`Client`]) work against it unmodified — but behind the front end every request
-//! fans out to the shard endpoints of a [`ShardPlan`] and the per-shard answers merge
-//! back into one response:
+//! A coordinator is a *serve-compatible* process: it runs on the same transport as
+//! `pdqi serve` (one accept thread, one thread per connection, the same frame loop),
+//! so `pdqi connect` (and [`Client`]) work against it unmodified — but behind the
+//! front end every request fans out to the shard endpoints of a [`ShardPlan`] and the
+//! per-shard answers merge back into one response:
 //!
 //! ```text
 //!                        ┌────────────┐      ┌──────────────────┐
@@ -44,17 +44,18 @@
 //!
 //! Responses carry both `gen=<sum>` (so [`Client`]'s tag parser keeps working) and a
 //! per-shard generation vector `gens=<g0>,<g1>,…` a client can pin a consistent cut
-//! with. Subscriptions are not proxied (`SUBSCRIBE` answers `ERR`): push channels
-//! belong to the shard that owns the data — connect to it directly. `SHUTDOWN` stops
-//! the coordinator only; shards are independent processes with their own lifecycle.
+//! with. Writes are atomic per shard, not globally: a write that fails on some shard
+//! answers `ERR` with the first failure, then each shard that applied its part with
+//! the generation it published (`…; applied on shard 1 gen=3`). Subscriptions are
+//! not proxied (`SUBSCRIBE` answers `ERR`): push channels belong to the shard that
+//! owns the data — connect to it directly. `SHUTDOWN` stops the coordinator only;
+//! shards are independent processes with their own lifecycle.
 
 use std::collections::{BTreeSet, HashMap};
-use std::io::{self, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::RwLock;
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::io;
+use std::net::ToSocketAddrs;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use pdqi_core::shard_plan::type_value;
 use pdqi_core::{ClosedProfile, CqaOutcome, RouteSpec, ShardPlan};
@@ -64,28 +65,16 @@ use pdqi_query::parse_formula;
 use pdqi_relation::{Value, ValueType};
 
 use crate::client::{Client, ClientError, ExecOutcome, TableDescription};
-use crate::protocol::{escape_field, write_frame, ExecMode, ExecSpec, FrameError, Request};
-use crate::server::read_frame_patient;
+use crate::protocol::{
+    describe_response, exec_response, outcome_line, profile_line, rows_block, ExecMode, ExecSpec,
+    Prepared, PreparedMap, Request,
+};
+use crate::transport::{listen, Handle, Handler, WireStats};
 
-/// Cap on the coordinator's prepared-query map, mirroring the server's plan cache:
-/// ids are client-chosen, so overflow clears wholesale.
-const PREPARED_CACHE_LIMIT: usize = 4096;
-
-/// How often blocked accept loops back off after persistent failures.
-const ACCEPT_BACKOFF: std::time::Duration = std::time::Duration::from_millis(50);
-
-/// Coordinator tuning knobs.
-#[derive(Debug, Clone)]
-pub struct CoordinatorConfig {
-    /// Accept-loop threads sharing the listener (clamped to at least 1).
-    pub acceptors: usize,
-}
-
-impl Default for CoordinatorConfig {
-    fn default() -> Self {
-        CoordinatorConfig { acceptors: 1 }
-    }
-}
+/// Coordinator tuning knobs. There are none: every listener runs one accept thread.
+/// The type stays so that callers keep passing `CoordinatorConfig::default()`.
+#[derive(Debug, Clone, Default)]
+pub struct CoordinatorConfig {}
 
 /// One shard endpoint: its address and a lazily-(re)connected [`Client`].
 struct ShardSlot {
@@ -139,9 +128,8 @@ struct TableRoute {
     columns: Vec<(String, ValueType)>,
 }
 
-/// What the coordinator remembers about a `PREPARE`d query.
+/// What the coordinator remembers about a `PREPARE`d query, besides its table.
 struct CoordPrepared {
-    table: String,
     /// The free variables in answer-column order (lexicographic, like the engine's).
     free: Vec<String>,
     /// The value type of each answer column, resolved through the relation atom —
@@ -153,25 +141,18 @@ struct CoordPrepared {
     ground: bool,
 }
 
-/// State shared by every coordinator connection handler.
-struct CoordinatorState {
+/// The state every connection of one coordinator shares: the shard connections, the
+/// routes and the prepared queries.
+pub struct CoordinatorState {
     shards: Vec<ShardSlot>,
     routes: HashMap<String, TableRoute>,
-    prepared: RwLock<HashMap<String, Arc<CoordPrepared>>>,
+    prepared: PreparedMap<CoordPrepared>,
     /// Last generation observed per shard (monotone via `fetch_max`): the `gens=`
     /// vector of every response.
     gens: Vec<AtomicU64>,
-    acceptors: usize,
-    shutdown: AtomicBool,
-    requests: AtomicU64,
-    protocol_errors: AtomicU64,
 }
 
 impl CoordinatorState {
-    fn shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::Relaxed)
-    }
-
     fn note_gen(&self, shard: usize, generation: u64) {
         self.gens[shard].fetch_max(generation, Ordering::Relaxed);
     }
@@ -182,6 +163,40 @@ impl CoordinatorState {
         let sum: u64 = gens.iter().sum();
         let list: Vec<String> = gens.iter().map(u64::to_string).collect();
         format!("gen={sum} gens={}", list.join(","))
+    }
+
+    fn route(&self, table: &str) -> Result<&TableRoute, String> {
+        self.routes.get(table).ok_or_else(|| {
+            format!("ERR no route for table `{table}` (pass --route {table}:<key>:…)")
+        })
+    }
+
+    /// Records the generation of every shard that applied its part of a write. If a
+    /// shard failed, the answer is an `ERR` with the first failure, followed by every
+    /// shard that applied its part and the generation it published (`…; applied on
+    /// shard 1 gen=3`): a client must not hold a bare `ERR` for a write that partly
+    /// landed.
+    fn settle(&self, writes: Vec<(usize, Result<u64, String>)>) -> Result<(), String> {
+        let mut failure = None;
+        let mut applied = Vec::new();
+        for (shard, write) in writes {
+            match write {
+                Ok(generation) => {
+                    self.note_gen(shard, generation);
+                    applied.push(format!("shard {shard} gen={generation}"));
+                }
+                Err(message) => {
+                    failure.get_or_insert(message);
+                }
+            }
+        }
+        let Some(failure) = failure else {
+            return Ok(());
+        };
+        if applied.is_empty() {
+            return Err(format!("ERR {failure}"));
+        }
+        Err(format!("ERR {failure}; applied on {}", applied.join(", ")))
     }
 
     /// Fans `f` out to every shard concurrently and gathers per-shard results.
@@ -206,45 +221,10 @@ impl CoordinatorState {
     }
 }
 
-/// A handle on a running coordinator: its address, a shutdown trigger, a join point.
-pub struct CoordinatorHandle {
-    addr: SocketAddr,
-    state: Arc<CoordinatorState>,
-    acceptors: Vec<JoinHandle<()>>,
-    connections: Arc<Mutex<Vec<JoinHandle<()>>>>,
-}
-
-impl CoordinatorHandle {
-    /// The address the coordinator is listening on (useful with port 0).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Asks the coordinator to stop and joins every thread. Shards keep running —
-    /// they are independent processes with their own lifecycle.
-    pub fn shutdown(mut self) {
-        self.state.shutdown.store(true, Ordering::Relaxed);
-        for _ in 0..self.acceptors.len() {
-            let _ = TcpStream::connect(self.addr);
-        }
-        self.join_threads();
-    }
-
-    /// Blocks until the coordinator stops (via a remote `SHUTDOWN` command).
-    pub fn wait(mut self) {
-        self.join_threads();
-    }
-
-    fn join_threads(&mut self) {
-        for acceptor in self.acceptors.drain(..) {
-            let _ = acceptor.join();
-        }
-        let connections = std::mem::take(&mut *self.connections.lock().expect("connection list"));
-        for connection in connections {
-            let _ = connection.join();
-        }
-    }
-}
+/// A handle on a running coordinator: its address, a shutdown trigger and a join
+/// point. Shutting the coordinator down leaves the shards running: they are
+/// independent processes with their own lifecycle.
+pub type CoordinatorHandle = Handle<CoordinatorState>;
 
 /// Binds `addr` and starts coordinating over `shard_addrs` — see the
 /// [module docs](self).
@@ -257,7 +237,7 @@ pub fn coordinate(
     addr: impl ToSocketAddrs,
     shard_addrs: &[String],
     routes: &[RouteSpec],
-    config: CoordinatorConfig,
+    _config: CoordinatorConfig,
 ) -> io::Result<CoordinatorHandle> {
     if shard_addrs.is_empty() {
         return Err(io::Error::new(
@@ -309,233 +289,99 @@ pub fn coordinate(
             .map_err(|e| io::Error::other(format!("route `{route}`: {e}")))?;
         table_routes.insert(route.table.clone(), TableRoute { plan, columns });
     }
-    let listener = TcpListener::bind(addr)?;
-    let addr = listener.local_addr()?;
-    let acceptor_count = config.acceptors.max(1);
-    let state = Arc::new(CoordinatorState {
-        shards,
-        routes: table_routes,
-        prepared: RwLock::new(HashMap::new()),
-        gens,
-        acceptors: acceptor_count,
-        shutdown: AtomicBool::new(false),
-        requests: AtomicU64::new(0),
-        protocol_errors: AtomicU64::new(0),
-    });
-    let connections: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-    let mut acceptors = Vec::new();
-    for _ in 0..acceptor_count {
-        let listener = listener.try_clone()?;
-        let state = Arc::clone(&state);
-        let connections = Arc::clone(&connections);
-        let wake_addr = addr;
-        acceptors.push(std::thread::spawn(move || {
-            accept_loop(&listener, wake_addr, &state, &connections);
-        }));
-    }
-    Ok(CoordinatorHandle { addr, state, acceptors, connections })
+    let state =
+        CoordinatorState { shards, routes: table_routes, prepared: PreparedMap::new(), gens };
+    listen(addr, state)
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    wake_addr: SocketAddr,
-    state: &Arc<CoordinatorState>,
-    connections: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
-    loop {
-        let Ok((stream, _peer)) = listener.accept() else {
-            if state.shutting_down() {
-                return;
-            }
-            std::thread::sleep(ACCEPT_BACKOFF);
-            continue;
-        };
-        if state.shutting_down() {
-            return;
-        }
-        let state = Arc::clone(state);
-        let handle = std::thread::spawn(move || {
-            handle_connection(stream, &state, wake_addr);
-        });
-        connections.lock().expect("connection list").push(handle);
-        let mut list = connections.lock().expect("connection list");
-        let mut index = 0;
-        while index < list.len() {
-            if list[index].is_finished() {
-                let _ = list.swap_remove(index).join();
-            } else {
-                index += 1;
-            }
-        }
-    }
-}
+impl Handler for CoordinatorState {
+    /// Subscriptions are not proxied, so a connection has no state of its own.
+    type Connection = ();
 
-fn handle_connection(stream: TcpStream, state: &Arc<CoordinatorState>, wake_addr: SocketAddr) {
-    let _ = stream.set_read_timeout(Some(std::time::Duration::from_millis(50)));
-    let mut reader = match stream.try_clone() {
-        Ok(reader) => reader,
-        Err(_) => return,
-    };
-    let mut writer = io::BufWriter::new(stream);
-    loop {
-        if state.shutting_down() {
-            return;
-        }
-        let payload = match read_frame_patient(&mut reader, &state.shutdown) {
-            Ok(Some(payload)) => payload,
-            Ok(None) => continue,
-            Err(FrameError::Closed) => return,
-            Err(malformed) => {
-                state.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                let _ = write_frame(&mut writer, &format!("ERR {malformed}"));
-                return;
-            }
-        };
-        state.requests.fetch_add(1, Ordering::Relaxed);
-        let (mut response, shutdown) = match Request::parse(&payload) {
-            Err(message) => {
-                state.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                (format!("ERR {message}"), false)
-            }
-            Ok(Request::Shutdown) => ("OK bye".to_string(), true),
-            Ok(request) => (dispatch(state, &request), false),
-        };
-        if response.len() > crate::protocol::MAX_FRAME_BYTES {
-            response = format!(
-                "ERR response too large ({} bytes exceeds the {}-byte frame limit); \
-                 narrow the query",
-                response.len(),
-                crate::protocol::MAX_FRAME_BYTES
-            );
-        }
-        if write_frame(&mut writer, &response).is_err() {
-            return;
-        }
-        if shutdown {
-            let _ = writer.flush();
-            state.shutdown.store(true, Ordering::Relaxed);
-            for _ in 0..state.acceptors {
-                let _ = TcpStream::connect(wake_addr);
-            }
-            return;
-        }
-    }
-}
+    fn open(&self) {}
 
-/// Answers one well-formed request by scattering it over the shards and merging.
-fn dispatch(state: &CoordinatorState, request: &Request) -> String {
-    match request {
-        Request::Ping => "OK pong".to_string(),
-        Request::Prepare { id, query } => prepare(state, id, query),
-        Request::Exec(spec) => match run_specs(state, std::slice::from_ref(spec)) {
-            Err(message) => format!("ERR {message}"),
-            Ok(mut blocks) => {
-                let block = blocks.pop().expect("one merged block per spec");
-                match block.strip_prefix("error ") {
-                    Some(message) => format!("ERR {message}"),
-                    None => {
-                        let (head, rest) = match block.split_once('\n') {
-                            Some((head, rest)) => (head, Some(rest)),
-                            None => (block.as_str(), None),
-                        };
-                        let mut out = format!("OK {head} {}", state.gen_tags());
-                        if let Some(rest) = rest {
-                            out.push('\n');
-                            out.push_str(rest);
+    /// Answers one well-formed request by scattering it over the shards and merging.
+    fn dispatch(&self, _: &mut (), request: &Request, wire: &WireStats) -> String {
+        match request {
+            Request::Ping => "OK pong".to_string(),
+            Request::Prepare { id, query } => prepare(self, id, query),
+            Request::Exec(spec) => {
+                exec_response(run_specs(self, std::slice::from_ref(spec)), false)
+            }
+            Request::Batch(specs) => exec_response(run_specs(self, specs), true),
+            Request::Insert { table, rows } => {
+                route_mutation(self, table, rows, &[], MutationOp::Insert)
+            }
+            Request::Delete { table, rows } => {
+                route_mutation(self, table, rows, &[], MutationOp::Delete)
+            }
+            Request::Mutate { table, inserts, deletes } => {
+                route_mutation(self, table, inserts, deletes, MutationOp::Mixed)
+            }
+            Request::SetPriority { table, pairs } => set_priority(self, table, pairs),
+            Request::Describe { table } => {
+                let results = self.scatter(|_, client| client.describe(table));
+                let mut rows = 0;
+                let mut columns = Vec::new();
+                for (shard, result) in results.into_iter().enumerate() {
+                    match result {
+                        Err(message) => return format!("ERR {message}"),
+                        Ok(description) => {
+                            self.note_gen(shard, description.generation);
+                            rows += description.rows;
+                            if shard == 0 {
+                                columns = description.columns;
+                            }
                         }
-                        out
                     }
                 }
+                describe_response(
+                    table,
+                    rows,
+                    &self.gen_tags(),
+                    columns.iter().map(|(name, ty)| (name.as_str(), *ty)),
+                )
             }
-        },
-        Request::Batch(specs) => match run_specs(state, specs) {
-            Err(message) => format!("ERR {message}"),
-            Ok(blocks) => {
-                let mut out = format!("OK batch {} {}", blocks.len(), state.gen_tags());
-                for block in blocks {
-                    out.push('\n');
-                    out.push_str(&block);
+            Request::Stats => {
+                let mut out = format!(
+                    "OK stats shards={} routes={} prepared={} {wire}",
+                    self.shards.len(),
+                    self.routes.len(),
+                    self.prepared.len(),
+                );
+                for slot in &self.shards {
+                    out.push_str(&format!(
+                        "\nshard {} addr={} gen={}",
+                        slot.index,
+                        slot.addr,
+                        self.gens[slot.index].load(Ordering::Relaxed),
+                    ));
                 }
                 out
             }
-        },
-        Request::Insert { table, rows } => {
-            route_mutation(state, table, rows, &[], MutationOp::Insert)
-        }
-        Request::Delete { table, rows } => {
-            route_mutation(state, table, rows, &[], MutationOp::Delete)
-        }
-        Request::Mutate { table, inserts, deletes } => {
-            route_mutation(state, table, inserts, deletes, MutationOp::Mixed)
-        }
-        Request::SetPriority { table, pairs } => set_priority(state, table, pairs),
-        Request::Describe { table } => {
-            let results = state.scatter(|_, client| client.describe(table));
-            let mut descriptions = Vec::with_capacity(results.len());
-            for (shard, result) in results.into_iter().enumerate() {
-                match result {
-                    Err(message) => return format!("ERR {message}"),
-                    Ok(description) => {
-                        state.note_gen(shard, description.generation);
-                        descriptions.push(description);
-                    }
-                }
+            Request::Alter { .. } => {
+                // A new FD can create conflict edges between tuples in *different* key
+                // ranges, breaking the no-cross-shard-edge invariant every merge rule
+                // above rests on. Refusing is the only sound answer: constraint changes
+                // belong in the shard plan, re-sharded so the invariant is re-established.
+                "ERR ALTER is not supported through the coordinator (a new FD can create \
+                 conflict edges across shard boundaries; rebuild the shard plan instead)"
+                    .to_string()
             }
-            let rows: usize = descriptions.iter().map(|d| d.rows).sum();
-            let mut out = format!("OK describe {table} rows={rows} {}", state.gen_tags());
-            for (name, ty) in &descriptions[0].columns {
-                let ty = match ty {
-                    ValueType::Int => "INT",
-                    ValueType::Name => "NAME",
-                };
-                out.push('\n');
-                out.push_str(&escape_field(name));
-                out.push('\t');
-                out.push_str(ty);
+            Request::Subscribe { .. } | Request::Unsubscribe { .. } => {
+                "ERR subscriptions are not supported through the coordinator \
+                 (connect to a shard directly)"
+                    .to_string()
             }
-            out
-        }
-        Request::Stats => {
-            let mut out = format!(
-                "OK stats shards={} routes={} prepared={} requests={} protocol_errors={}",
-                state.shards.len(),
-                state.routes.len(),
-                state.prepared.read().expect("prepared lock").len(),
-                state.requests.load(Ordering::Relaxed),
-                state.protocol_errors.load(Ordering::Relaxed),
-            );
-            for slot in &state.shards {
-                out.push_str(&format!(
-                    "\nshard {} addr={} gen={}",
-                    slot.index,
-                    slot.addr,
-                    state.gens[slot.index].load(Ordering::Relaxed),
-                ));
+            Request::Explain { .. } => {
+                // Each shard plans against its own snapshot and cardinalities; there is
+                // no single merged physical plan to report for the scattered execution.
+                "ERR EXPLAIN is not supported through the coordinator (each shard plans \
+                 independently; connect to a shard directly)"
+                    .to_string()
             }
-            out
+            Request::Shutdown => unreachable!("the transport answers SHUTDOWN itself"),
         }
-        Request::Alter { .. } => {
-            // A new FD can create conflict edges between tuples in *different* key
-            // ranges, breaking the no-cross-shard-edge invariant every merge rule
-            // above rests on. Refusing is the only sound answer: constraint changes
-            // belong in the shard plan, re-sharded so the invariant is re-established.
-            "ERR ALTER is not supported through the coordinator (a new FD can create \
-             conflict edges across shard boundaries; rebuild the shard plan instead)"
-                .to_string()
-        }
-        Request::Subscribe { .. } | Request::Unsubscribe { .. } => {
-            "ERR subscriptions are not supported through the coordinator \
-             (connect to a shard directly)"
-                .to_string()
-        }
-        Request::Explain { .. } => {
-            // Each shard plans against its own snapshot and cardinalities; there is
-            // no single merged physical plan to report for the scattered execution.
-            "ERR EXPLAIN is not supported through the coordinator (each shard plans \
-             independently; connect to a shard directly)"
-                .to_string()
-        }
-        Request::Shutdown => unreachable!("SHUTDOWN is handled by the connection loop"),
     }
 }
 
@@ -560,8 +406,9 @@ fn prepare(state: &CoordinatorState, id: &str, query: &str) -> String {
         );
     }
     let table = relations.into_iter().next().expect("one relation");
-    let Some(route) = state.routes.get(&table) else {
-        return format!("ERR no route for table `{table}` (pass --route {table}:<key>:…)");
+    let route = match state.route(&table) {
+        Ok(route) => route,
+        Err(message) => return message,
     };
     let mut atoms = Vec::new();
     if !collect_atoms(&formula, &mut atoms) {
@@ -603,14 +450,11 @@ fn prepare(state: &CoordinatorState, id: &str, query: &str) -> String {
             return format!("ERR {message}");
         }
     }
-    let entry =
-        Arc::new(CoordPrepared { table: table.clone(), free: free.clone(), free_types, ground });
-    let mut prepared = state.prepared.write().expect("prepared lock");
-    if prepared.len() >= PREPARED_CACHE_LIMIT && !prepared.contains_key(id) {
-        prepared.clear();
-    }
-    prepared.insert(id.to_string(), entry);
-    format!("OK prepared {id} table={table} columns={}", free.join(","))
+    let response = format!("OK prepared {id} table={table} columns={}", free.join(","));
+    state
+        .prepared
+        .insert(id, Prepared { table, query: CoordPrepared { free, free_types, ground } });
+    response
 }
 
 /// Collects the relation atoms of `formula`; returns `false` if the formula uses a
@@ -633,34 +477,22 @@ fn collect_atoms<'a>(formula: &'a Formula, out: &mut Vec<&'a pdqi_query::ast::At
 /// Resolves `specs` against the prepared map, fans one `BATCH` per shard out (closed
 /// entries rewritten to `PROFILE` so `examined` merges exactly), and merges each
 /// entry back into a rendered response block.
-fn run_specs(state: &CoordinatorState, specs: &[ExecSpec]) -> Result<Vec<String>, String> {
-    let prepared = state.prepared.read().expect("prepared lock");
-    let infos: Vec<Arc<CoordPrepared>> = specs
-        .iter()
-        .map(|spec| {
-            prepared
-                .get(&spec.id)
-                .cloned()
-                .ok_or_else(|| format!("unknown prepared query `{}` (PREPARE it first)", spec.id))
-        })
-        .collect::<Result<_, _>>()?;
-    drop(prepared);
-    let table = &infos[0].table;
-    if let Some(mixed) = infos.iter().find(|info| info.table != *table) {
-        return Err(format!(
-            "a batch pins one snapshot: all queries must read one table (got `{table}` and `{}`)",
-            mixed.table
-        ));
-    }
+fn run_specs(
+    state: &CoordinatorState,
+    specs: &[ExecSpec],
+) -> Result<(Vec<String>, String), String> {
+    let entries = state.prepared.resolve(specs)?;
     // Closed entries go out as PROFILE (except the ground/plain-repair fast path,
     // which answers examined == 0 on shards and mirror alike): the verdict alone
     // cannot reproduce the mirror's `examined`, the profile can.
     let shard_specs: Vec<ExecSpec> = specs
         .iter()
-        .zip(&infos)
-        .map(|(spec, info)| {
+        .zip(&entries)
+        .map(|(spec, entry)| {
             let mode = match spec.mode {
-                ExecMode::Closed if !(spec.family == pdqi_core::FamilyKind::Rep && info.ground) => {
+                ExecMode::Closed
+                    if !(spec.family == pdqi_core::FamilyKind::Rep && entry.query.ground) =>
+                {
                     ExecMode::Profile
                 }
                 mode => mode,
@@ -677,15 +509,15 @@ fn run_specs(state: &CoordinatorState, specs: &[ExecSpec]) -> Result<Vec<String>
     }
     let blocks = specs
         .iter()
-        .zip(&infos)
+        .zip(&entries)
         .enumerate()
-        .map(|(entry, (spec, info))| {
+        .map(|(index, (spec, entry))| {
             let shard_outcomes: Vec<&ExecOutcome> =
-                per_shard.iter().map(|outcomes| &outcomes[entry]).collect();
-            merge_entry(spec, info, &shard_outcomes)
+                per_shard.iter().map(|outcomes| &outcomes[index]).collect();
+            merge_entry(spec, &entry.query, &shard_outcomes)
         })
         .collect();
-    Ok(blocks)
+    Ok((blocks, state.gen_tags()))
 }
 
 /// Merges one batch entry's per-shard outcomes into a rendered response block.
@@ -699,15 +531,7 @@ fn merge_entry(spec: &ExecSpec, info: &CoordPrepared, shards: &[&ExecOutcome]) -
         ExecMode::Certain | ExecMode::Possible => merge_rows(info, shards),
         ExecMode::Profile => match merge_profiles(shards) {
             Err(message) => format!("error {message}"),
-            Ok(profile) => {
-                let position = |at: Option<u128>| at.map_or("none".to_string(), |v| v.to_string());
-                format!(
-                    "profile total={} first_true={} first_false={}",
-                    profile.total,
-                    position(profile.first_true),
-                    position(profile.first_false)
-                )
-            }
+            Ok(profile) => profile_line(&profile),
         },
         ExecMode::Closed if spec.family == pdqi_core::FamilyKind::Rep && info.ground => {
             // Per-shard ground fast-path verdicts: certainly-true is an OR (a shard's
@@ -722,25 +546,13 @@ fn merge_entry(spec: &ExecSpec, info: &CoordPrepared, shards: &[&ExecOutcome]) -
                 certainly_true |= verdict == "true";
                 certainly_false &= verdict == "false";
             }
-            let outcome = CqaOutcome { certainly_true, certainly_false, examined: 0 };
-            render_outcome(&outcome)
+            outcome_line(&CqaOutcome { certainly_true, certainly_false, examined: 0 })
         }
         ExecMode::Closed => match merge_profiles(shards) {
             Err(message) => format!("error {message}"),
-            Ok(profile) => render_outcome(&profile.outcome()),
+            Ok(profile) => outcome_line(&profile.outcome()),
         },
     }
-}
-
-fn render_outcome(outcome: &CqaOutcome) -> String {
-    let verdict = if outcome.certainly_true {
-        "true"
-    } else if outcome.certainly_false {
-        "false"
-    } else {
-        "undetermined"
-    };
-    format!("outcome {verdict} examined={}", outcome.examined)
 }
 
 /// Merges per-shard open-query answers: the union of per-shard rows, re-typed so the
@@ -773,13 +585,7 @@ fn merge_rows(info: &CoordPrepared, shards: &[&ExecOutcome]) -> String {
             }
         }
     }
-    let mut block = format!("rows {}\n{}", merged.len(), info.free.join("\t"));
-    for row in &merged {
-        let rendered: Vec<String> = row.iter().map(|v| escape_field(&v.to_string())).collect();
-        block.push('\n');
-        block.push_str(&rendered.join("\t"));
-    }
-    block
+    rows_block(&info.free, merged.iter())
 }
 
 /// Merges per-shard closed profiles over the row-major product order: shard `s`'s
@@ -839,8 +645,9 @@ fn route_mutation(
     deletes: &[Vec<String>],
     op: MutationOp,
 ) -> String {
-    let Some(route) = state.routes.get(table) else {
-        return format!("ERR no route for table `{table}` (pass --route {table}:<key>:…)");
+    let route = match state.route(table) {
+        Ok(route) => route,
+        Err(message) => return message,
     };
     let bucket = |rows: &[Vec<String>]| -> Result<Vec<Vec<Vec<String>>>, String> {
         let mut buckets = vec![Vec::new(); state.shards.len()];
@@ -907,16 +714,20 @@ fn route_mutation(
             })
             .collect()
     });
+    let mut writes = Vec::new();
     for (shard, result) in results.into_iter().enumerate() {
-        match result {
-            None => {}
-            Some(Err(message)) => return format!("ERR {message}"),
-            Some(Ok((i, d, generation))) => {
+        let Some(write) = result else { continue };
+        writes.push((
+            shard,
+            write.map(|(i, d, generation)| {
                 inserted += i;
                 deleted += d;
-                state.note_gen(shard, generation);
-            }
-        }
+                generation
+            }),
+        ));
+    }
+    if let Err(message) = state.settle(writes) {
+        return message;
     }
     match op {
         MutationOp::Mixed => {
@@ -937,8 +748,8 @@ fn route_mutation(
 /// cross-shard tuples share no conflict component, so no preference between them can
 /// affect any repair (the mirror would simply reject the non-edge pair too).
 fn set_priority(state: &CoordinatorState, table: &str, pairs: &[(u32, u32)]) -> String {
-    if !state.routes.contains_key(table) {
-        return format!("ERR no route for table `{table}` (pass --route {table}:<key>:…)");
+    if let Err(message) = state.route(table) {
+        return message;
     }
     let descriptions = state.scatter(|_, client| client.describe(table));
     let mut counts = Vec::with_capacity(descriptions.len());
@@ -985,11 +796,8 @@ fn set_priority(state: &CoordinatorState, table: &str, pairs: &[(u32, u32)]) -> 
     // shard with no pair of its own installs the empty priority, exactly as the
     // mirror replaces preferences for tuples the pair list no longer mentions.
     let results = state.scatter(|shard, client| client.set_priority(table, &shard_pairs[shard]));
-    for (shard, result) in results.into_iter().enumerate() {
-        match result {
-            Err(message) => return format!("ERR {message}"),
-            Ok(generation) => state.note_gen(shard, generation),
-        }
+    match state.settle(results.into_iter().enumerate().collect()) {
+        Ok(()) => format!("OK swapped {table} {}", state.gen_tags()),
+        Err(message) => message,
     }
-    format!("OK swapped {table} {}", state.gen_tags())
 }

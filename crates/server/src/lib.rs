@@ -5,17 +5,21 @@
 //! ```text
 //!            clients                      pdqi-server                   pdqi-core
 //!  ┌──────────┐  frames   ┌──────────────────────────────┐   ┌───────────────────────┐
-//!  │ Client / │ ────────► │ accept loops → per-connection │   │   SnapshotRegistry    │
-//!  │ pdqi     │ ◄──────── │ handlers → Request dispatch   │──►│ table → Arc<Snapshot> │
-//!  │ connect  │           │   EXEC/BATCH: BatchExecutor   │   │ (generation counters) │
-//!  └──────────┘           │   writes: commit a Change     │   └───────────────────────┘
+//!  │ Client / │ ────────► │ transport: accept thread →   │   │   SnapshotRegistry    │
+//!  │ pdqi     │ ◄──────── │ one thread per connection    │   │ table → Arc<Snapshot> │
+//!  │ connect  │           │ server dispatch:             │──►│ (generation counters) │
+//!  └──────────┘           │   EXEC/BATCH: BatchExecutor  │   └───────────────────────┘
+//!                         │   writes: commit a Change    │
+//!                         └──────────────────────────────┘
 //! ```
 //!
 //! * [`protocol`] — the length-prefixed line protocol: framing, request parsing,
 //!   response shapes, malformed-frame rules;
-//! * [`server`] — the std-only serving loop: accept threads, per-connection handlers,
-//!   snapshot-pinned dispatch through [`pdqi_core::BatchExecutor`], writes through
-//!   [`pdqi_core::SnapshotRegistry::commit`];
+//! * the transport (`transport.rs`) — the one std-only TCP layer under the server and
+//!   the coordinator: one accept thread per listener, one thread per connection, the
+//!   frame loop, push flushing and shutdown, behind one [`Handle`] type;
+//! * [`server`] — snapshot-pinned dispatch through [`pdqi_core::BatchExecutor`], writes
+//!   through [`pdqi_core::SnapshotRegistry::commit`];
 //! * [`client`] — a blocking [`Client`] with typed helpers, used by the CLI's
 //!   `connect` subcommand, the serving tests and the `e16_serving` bench;
 //! * [`coordinator`] — the scatter-gather front end: one serve-compatible endpoint
@@ -28,7 +32,7 @@
 //! responses; [`Client`] buffers them and hands them out as typed [`PushEvent`]s.
 //!
 //! Everything is plain [`std`]: no async runtime exists in this build environment, so
-//! concurrency is accept-loop threads plus a handler thread per connection, and all
+//! concurrency is one accept thread per listener plus a thread per connection, and all
 //! sharing goes through the same `Arc`/atomic structures the in-process serving path
 //! uses. The protocol guarantees of the in-process API carry over: every request is
 //! answered against **one** pinned snapshot generation, and priority swaps never block
@@ -41,6 +45,7 @@ pub mod client;
 pub mod coordinator;
 pub mod protocol;
 pub mod server;
+mod transport;
 
 pub use client::{
     Client, ClientError, Events, ExecOutcome, PushEvent, SubscribeReply, TableDescription,
@@ -51,3 +56,4 @@ pub use protocol::{
     MAX_FRAME_BYTES,
 };
 pub use server::{serve, ServerConfig, ServerHandle};
+pub use transport::Handle;

@@ -90,10 +90,13 @@
 //! expiry deltas as generations slide out), and `QUEUE n` bounds the subscription's
 //! undrained-event queue before it collapses into a `LAGGED` resync.
 
+use std::collections::HashMap;
 use std::fmt;
 use std::io::{self, Read, Write};
+use std::sync::{Arc, RwLock};
 
-use pdqi_core::{FamilyKind, Semantics};
+use pdqi_core::{ClosedProfile, CqaOutcome, FamilyKind, Semantics};
+use pdqi_relation::ValueType;
 
 /// Hard ceiling on a frame's payload size. Frames are statements and answer sets, not
 /// bulk data transfer; the cap bounds per-connection memory and lets the server reject
@@ -544,12 +547,17 @@ impl Request {
                 }
                 out
             }
-            Request::Insert { table, rows } => render_mutation("INSERT", table, rows),
-            Request::Delete { table, rows } => render_mutation("DELETE", table, rows),
+            Request::Insert { table, rows } | Request::Delete { table, rows } => {
+                let command =
+                    if matches!(self, Request::Insert { .. }) { "INSERT" } else { "DELETE" };
+                let mut out = format!("{command} {table}");
+                push_rows(&mut out, None, rows);
+                out
+            }
             Request::Mutate { table, inserts, deletes } => {
                 let mut out = format!("MUTATE {table}");
-                push_op_rows(&mut out, '+', inserts);
-                push_op_rows(&mut out, '-', deletes);
+                push_rows(&mut out, Some('+'), inserts);
+                push_rows(&mut out, Some('-'), deletes);
                 out
             }
             Request::Subscribe { id, family, semantics, report, queue } => {
@@ -585,28 +593,166 @@ impl Request {
     }
 }
 
-/// Renders an `INSERT`/`DELETE` payload: the command head line, then one escaped
-/// tab-separated row per line (the same encoding answer rows use).
-fn render_mutation(command: &str, table: &str, rows: &[Vec<String>]) -> String {
-    let mut out = format!("{command} {table}");
+/// Appends one line per row, each value escaped with [`escape_field`] and the values
+/// tab-separated — the encoding of answer rows and `INSERT`/`DELETE` rows. With an `op`,
+/// each line starts with it and a tab (`+`/`-`: `MUTATE` rows and pushed `DELTA` rows).
+pub(crate) fn push_rows<'a, T: fmt::Display + 'a>(
+    out: &mut String,
+    op: Option<char>,
+    rows: impl IntoIterator<Item = &'a Vec<T>>,
+) {
     for row in rows {
         out.push('\n');
-        let rendered: Vec<String> = row.iter().map(|field| escape_field(field)).collect();
-        out.push_str(&rendered.join("\t"));
+        if let Some(op) = op {
+            out.push(op);
+        }
+        for (index, value) in row.iter().enumerate() {
+            if index > 0 || op.is_some() {
+                out.push('\t');
+            }
+            out.push_str(&escape_field(&value.to_string()));
+        }
+    }
+}
+
+/// Renders a `rows <n>` block: the count, the tab-separated column header, then one
+/// escaped row per line.
+pub(crate) fn rows_block<'a, T: fmt::Display + 'a>(
+    columns: &[String],
+    rows: impl ExactSizeIterator<Item = &'a Vec<T>>,
+) -> String {
+    let mut out = format!("rows {}\n{}", rows.len(), columns.join("\t"));
+    push_rows(&mut out, None, rows);
+    out
+}
+
+/// Renders a closed verdict block: `outcome <true|false|undetermined> examined=<k>`.
+pub(crate) fn outcome_line(outcome: &CqaOutcome) -> String {
+    let verdict = if outcome.certainly_true {
+        "true"
+    } else if outcome.certainly_false {
+        "false"
+    } else {
+        "undetermined"
+    };
+    format!("outcome {verdict} examined={}", outcome.examined)
+}
+
+/// Renders a closed profile block: `profile total=<t> first_true=<i> first_false=<i>`,
+/// an absent position as `none`.
+pub(crate) fn profile_line(profile: &ClosedProfile) -> String {
+    let position = |at: Option<u128>| at.map_or("none".to_string(), |v| v.to_string());
+    format!(
+        "profile total={} first_true={} first_false={}",
+        profile.total,
+        position(profile.first_true),
+        position(profile.first_false)
+    )
+}
+
+/// Renders a `DESCRIBE` answer: the head line with the row count and the generation
+/// tags, then one `<escaped name>\t<INT|NAME>` line per column.
+pub(crate) fn describe_response<'a>(
+    table: &str,
+    rows: usize,
+    tags: &str,
+    columns: impl IntoIterator<Item = (&'a str, ValueType)>,
+) -> String {
+    let mut out = format!("OK describe {table} rows={rows} {tags}");
+    for (name, ty) in columns {
+        out.push('\n');
+        out.push_str(&escape_field(name));
+        out.push_str(match ty {
+            ValueType::Int => "\tINT",
+            ValueType::Name => "\tNAME",
+        });
     }
     out
 }
 
-/// Appends op-prefixed row lines (`<op>\t<escaped fields…>`) — the encoding `MUTATE`
-/// requests and pushed `DELTA` frames share.
-pub(crate) fn push_op_rows(out: &mut String, op: char, rows: &[Vec<String>]) {
-    for row in rows {
-        out.push('\n');
-        out.push(op);
-        for field in row {
-            out.push('\t');
-            out.push_str(&escape_field(field));
+/// Answers `EXEC` (`batch` false) or `BATCH` from one rendered block per entry and the
+/// generation tags the request was answered at (`gen=<g>`, plus `gens=…` behind a
+/// coordinator). The tags go on the head line; a lone `EXEC` whose block failed
+/// (`error …`) answers as a plain `ERR`.
+pub(crate) fn exec_response(
+    answered: Result<(Vec<String>, String), String>,
+    batch: bool,
+) -> String {
+    let (mut blocks, tags) = match answered {
+        Ok(answered) => answered,
+        Err(message) => return format!("ERR {message}"),
+    };
+    if batch {
+        let mut out = format!("OK batch {} {tags}", blocks.len());
+        for block in blocks {
+            out.push('\n');
+            out.push_str(&block);
         }
+        return out;
+    }
+    let block = blocks.pop().expect("one block per EXEC");
+    if let Some(message) = block.strip_prefix("error ") {
+        return format!("ERR {message}");
+    }
+    match block.split_once('\n') {
+        Some((head, rest)) => format!("OK {head} {tags}\n{rest}"),
+        None => format!("OK {block} {tags}"),
+    }
+}
+
+/// Cap on a [`PreparedMap`]: the ids are client-chosen, so an unbounded map would let
+/// one misbehaving client grow a long-lived process without limit.
+const PREPARED_LIMIT: usize = 4096;
+
+/// A query prepared under a client-chosen id: the one table it reads, plus what the
+/// handler keeps to run it.
+pub(crate) struct Prepared<T> {
+    pub(crate) table: String,
+    pub(crate) query: T,
+}
+
+/// The prepared queries of one server or coordinator, by client-chosen id. Like the SQL
+/// session's statement cache, overflow past [`PREPARED_LIMIT`] clears the map
+/// wholesale: clients re-`PREPARE` on `unknown prepared query`, which costs a re-parse.
+pub(crate) struct PreparedMap<T>(RwLock<HashMap<String, Arc<Prepared<T>>>>);
+
+impl<T> PreparedMap<T> {
+    pub(crate) fn new() -> Self {
+        PreparedMap(RwLock::new(HashMap::new()))
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.0.read().expect("prepared lock").len()
+    }
+
+    pub(crate) fn insert(&self, id: &str, prepared: Prepared<T>) {
+        let mut map = self.0.write().expect("prepared lock");
+        if map.len() >= PREPARED_LIMIT && !map.contains_key(id) {
+            map.clear();
+        }
+        map.insert(id.to_string(), Arc::new(prepared));
+    }
+
+    pub(crate) fn get(&self, id: &str) -> Result<Arc<Prepared<T>>, String> {
+        let map = self.0.read().expect("prepared lock");
+        map.get(id)
+            .cloned()
+            .ok_or_else(|| format!("unknown prepared query `{id}` (PREPARE it first)"))
+    }
+
+    /// Resolves every entry of an `EXEC` or `BATCH`. A request pins one snapshot, so
+    /// all of its queries must read one table.
+    pub(crate) fn resolve(&self, specs: &[ExecSpec]) -> Result<Vec<Arc<Prepared<T>>>, String> {
+        let entries: Vec<_> =
+            specs.iter().map(|spec| self.get(&spec.id)).collect::<Result<_, _>>()?;
+        let table = &entries[0].table;
+        if let Some(mixed) = entries.iter().find(|entry| entry.table != *table) {
+            return Err(format!(
+                "a batch pins one snapshot: all queries must read one table (got `{table}` and `{}`)",
+                mixed.table
+            ));
+        }
+        Ok(entries)
     }
 }
 
@@ -729,6 +875,60 @@ pub fn read_frame(reader: &mut impl Read) -> Result<String, FrameError> {
     let mut payload = vec![0u8; announced];
     reader.read_exact(&mut payload)?;
     String::from_utf8(payload).map_err(|_| FrameError::NotUtf8)
+}
+
+/// Reads one frame from a socket that has a read timeout: the transport's idle poll, or
+/// the deadline of [`crate::Client::wait_event`]. A timeout before the frame's first
+/// byte returns `Ok(None)`, so the caller can do its idle work. Once any byte has
+/// arrived, timeouts are retried while `patient()` holds, because a frame abandoned
+/// half-read would leave the stream mid-frame; when it stops holding, the read reports
+/// [`FrameError::Closed`].
+pub(crate) fn read_frame_idle(
+    reader: &mut impl Read,
+    mut patient: impl FnMut() -> bool,
+) -> Result<Option<String>, FrameError> {
+    let mut len_bytes = [0u8; 4];
+    if !fill_patiently(reader, &mut len_bytes, true, &mut patient)? {
+        return Ok(None);
+    }
+    let announced = u32::from_be_bytes(len_bytes) as usize;
+    if announced > MAX_FRAME_BYTES {
+        return Err(FrameError::TooLarge { announced });
+    }
+    let mut payload = vec![0u8; announced];
+    fill_patiently(reader, &mut payload, false, &mut patient)?;
+    String::from_utf8(payload).map(Some).map_err(|_| FrameError::NotUtf8)
+}
+
+/// Fills `buf` for [`read_frame_idle`]. With `at_boundary` and nothing read yet, a
+/// timeout returns `Ok(false)` and EOF is [`FrameError::Closed`]; after that, EOF is a
+/// transport error (the peer vanished mid-frame).
+fn fill_patiently(
+    reader: &mut impl Read,
+    buf: &mut [u8],
+    at_boundary: bool,
+    patient: &mut impl FnMut() -> bool,
+) -> Result<bool, FrameError> {
+    let mut filled = 0;
+    while filled < buf.len() {
+        let idle = at_boundary && filled == 0;
+        match reader.read(&mut buf[filled..]) {
+            Ok(0) if idle => return Err(FrameError::Closed),
+            Ok(0) => return Err(FrameError::Io(io::ErrorKind::UnexpectedEof.into())),
+            Ok(read) => filled += read,
+            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
+                if idle {
+                    return Ok(false);
+                }
+                if !patient() {
+                    return Err(FrameError::Closed);
+                }
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(FrameError::Io(e)),
+        }
+    }
+    Ok(true)
 }
 
 #[cfg(test)]

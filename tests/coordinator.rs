@@ -305,6 +305,43 @@ fn a_dead_shard_surfaces_as_an_error_naming_it() {
 }
 
 #[test]
+fn a_write_that_partly_lands_names_the_shards_that_applied_it() {
+    let (instance, fds) = multi_chain_instance(4, 4);
+    let (parts, plan) = key_range_split(&instance, &fds, "A", 2).unwrap();
+    let mut cluster = Cluster::launch(&parts, &fds, &plan);
+    let mut client = cluster.client();
+
+    // Stop shard 0, then insert one row into each shard's key range in one request:
+    // shard 1 applies its row, shard 0 cannot.
+    cluster.shard_handles.remove(0).shutdown();
+    let rows: Vec<Vec<String>> = parts
+        .iter()
+        .map(|part| {
+            let key = part.iter().next().unwrap().1.values()[0].clone();
+            as_strings(&[key, Value::int(9), Value::int(9_000_000), Value::int(9)])
+        })
+        .collect();
+    let result = client.insert("R", &rows);
+    let Err(ClientError::Server(message)) = result else {
+        panic!("a write that failed on one shard must answer ERR, got {result:?}");
+    };
+    let applied = Client::connect(cluster.shard_addrs[1].as_str()).unwrap().describe("R").unwrap();
+    assert!(message.starts_with("shard 0"), "{message}");
+    assert!(message.contains(&cluster.shard_addrs[0]), "{message}");
+    assert!(
+        message.ends_with(&format!("; applied on shard 1 gen={}", applied.generation)),
+        "{message}"
+    );
+
+    // The coordinator recorded shard 1's new generation although the request failed.
+    let stats = client.stats().unwrap();
+    let shard1 = format!("shard 1 addr={} gen={}", cluster.shard_addrs[1], applied.generation);
+    assert!(stats.lines().any(|line| line == shard1), "{stats}");
+
+    cluster.stop();
+}
+
+#[test]
 fn generation_vectors_are_per_shard_monotone_under_a_concurrent_writer() {
     let (instance, fds) = multi_chain_instance(4, 4);
     let (parts, plan) = key_range_split(&instance, &fds, "A", 2).unwrap();

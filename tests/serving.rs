@@ -10,21 +10,30 @@
 //! * a client request is answered entirely against one snapshot generation,
 //!   bit-identical to calling `PreparedQuery::execute` directly on that snapshot;
 //! * malformed frames answer `ERR` and close; protocol-level errors keep the
-//!   connection usable.
+//!   connection usable;
+//! * frame handling is one transport under the server and the coordinator, so its
+//!   tests run against both endpoints, and a fuzz test checks that no frame a client
+//!   can send gets an answer other than `OK`/`ERR` or stops an endpoint.
 
 use std::io::{Read as _, Write as _};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use pdqi::datagen::{revision_trace, TraceEvent};
-use pdqi::server::{serve, Client, ExecMode, ExecOutcome, ExecSpec, ServerConfig};
+use pdqi::datagen::{key_range_split, multi_chain_instance, revision_trace, TraceEvent};
+use pdqi::server::protocol::read_frame;
+use pdqi::server::{
+    coordinate, serve, Client, CoordinatorConfig, CoordinatorHandle, ExecMode, ExecOutcome,
+    ExecSpec, ServerConfig, ServerHandle,
+};
 use pdqi::{
     Change, EngineBuilder, EngineSnapshot, FamilyKind, Parallelism, PreparedQuery, Priority,
-    Semantics, SnapshotRegistry,
+    RouteSpec, Semantics, SnapshotRegistry, Value,
 };
 
 /// The change installing the priority `pairs` orient over `current`'s graph.
@@ -51,6 +60,56 @@ fn traced_registry(
     let registry = SnapshotRegistry::shared();
     registry.publish("R", snapshot);
     (registry, trace)
+}
+
+/// A server and a coordinator over two shard servers: the two kinds of endpoint the
+/// one transport serves. Frame-handling tests loop over [`Endpoints::addrs`].
+struct Endpoints {
+    server: ServerHandle,
+    coordinator: CoordinatorHandle,
+    shards: Vec<ServerHandle>,
+}
+
+impl Endpoints {
+    fn launch() -> Endpoints {
+        let (registry, _) = traced_registry(2, 4, 5, 3, 1);
+        let server = serve("127.0.0.1:0", registry, ServerConfig::default()).unwrap();
+        let (instance, fds) = multi_chain_instance(2, 3);
+        let (parts, plan) = key_range_split(&instance, &fds, "A", 2).unwrap();
+        let shards: Vec<ServerHandle> = parts
+            .iter()
+            .map(|part| {
+                let snapshot =
+                    EngineBuilder::new().relation(part.clone(), fds.clone()).build().unwrap();
+                let registry = SnapshotRegistry::shared();
+                registry.publish("R", snapshot);
+                serve("127.0.0.1:0", registry, ServerConfig::default()).unwrap()
+            })
+            .collect();
+        let shard_addrs: Vec<String> =
+            shards.iter().map(|shard| shard.local_addr().to_string()).collect();
+        let route = RouteSpec {
+            table: "R".to_string(),
+            key_column: "A".to_string(),
+            splits: plan.splits().iter().map(Value::to_string).collect(),
+        };
+        let coordinator =
+            coordinate("127.0.0.1:0", &shard_addrs, &[route], CoordinatorConfig::default())
+                .unwrap();
+        Endpoints { server, coordinator, shards }
+    }
+
+    fn addrs(&self) -> [SocketAddr; 2] {
+        [self.server.local_addr(), self.coordinator.local_addr()]
+    }
+
+    fn stop(self) {
+        self.server.shutdown();
+        self.coordinator.shutdown();
+        for shard in self.shards {
+            shard.shutdown();
+        }
+    }
 }
 
 #[test]
@@ -217,17 +276,18 @@ fn explain_over_the_wire_reports_the_plan_and_the_actuals() {
     assert!(report.contains("actual product="), "{report}");
     // Unknown prepared ids error cleanly; the connection stays usable.
     assert!(client.explain("nope", FamilyKind::Rep, Semantics::Certain).is_err());
-    // The planner's process-wide counters surface through STATS.
+    // The planner's process-wide counters surface through STATS, and so do the
+    // registry's contained panics.
     let stats = client.stats().unwrap();
     assert!(stats.contains("planner planned="), "{stats}");
+    assert!(stats.contains(" panics=0 "), "{stats}");
     handle.shutdown();
 }
 
 #[test]
 fn a_batch_pins_one_generation_even_while_revisions_swap() {
     let (registry, trace) = traced_registry(3, 5, 40, 3, 99);
-    let config =
-        ServerConfig { parallelism: Parallelism::threads(2), acceptors: 2, ..Default::default() };
+    let config = ServerConfig { parallelism: Parallelism::threads(2), ..Default::default() };
     let handle = serve("127.0.0.1:0", Arc::clone(&registry), config).unwrap();
     let addr = handle.local_addr();
 
@@ -292,12 +352,10 @@ fn a_batch_pins_one_generation_even_while_revisions_swap() {
 
 #[test]
 fn malformed_frames_close_the_connection_but_errors_do_not() {
-    let (registry, _) = traced_registry(2, 4, 5, 3, 1);
-    let handle = serve("127.0.0.1:0", registry, ServerConfig::default()).unwrap();
-    let addr = handle.local_addr();
+    let endpoints = Endpoints::launch();
 
     // Protocol-level errors: the connection answers ERR and stays usable.
-    let mut client = Client::connect(addr).unwrap();
+    let mut client = Client::connect(endpoints.server.local_addr()).unwrap();
     for (request, expected) in [
         ("NONSENSE", "ERR unknown command"),
         ("EXEC ghost ALL CERTAIN", "ERR unknown prepared query"),
@@ -312,65 +370,74 @@ fn malformed_frames_close_the_connection_but_errors_do_not() {
     }
     client.ping().unwrap();
 
-    // An oversized announcement: ERR frame, then EOF.
-    let mut oversized = TcpStream::connect(addr).unwrap();
-    oversized.write_all(&(u32::MAX).to_be_bytes()).unwrap();
-    let mut response = Vec::new();
-    oversized.read_to_end(&mut response).unwrap();
-    assert!(String::from_utf8_lossy(&response).contains("ERR frame too large"));
+    for addr in endpoints.addrs() {
+        // An oversized announcement: ERR frame, then EOF.
+        let mut oversized = TcpStream::connect(addr).unwrap();
+        oversized.write_all(&(u32::MAX).to_be_bytes()).unwrap();
+        let mut response = Vec::new();
+        oversized.read_to_end(&mut response).unwrap();
+        assert!(String::from_utf8_lossy(&response).contains("ERR frame too large"), "{addr}");
 
-    // Binary junk that is not UTF-8: ERR frame, then EOF.
-    let mut binary = TcpStream::connect(addr).unwrap();
-    binary.write_all(&3u32.to_be_bytes()).unwrap();
-    binary.write_all(&[0xff, 0x00, 0xfe]).unwrap();
-    let mut response = Vec::new();
-    binary.read_to_end(&mut response).unwrap();
-    assert!(String::from_utf8_lossy(&response).contains("ERR frame payload is not valid UTF-8"));
+        // Binary junk that is not UTF-8: ERR frame, then EOF.
+        let mut binary = TcpStream::connect(addr).unwrap();
+        binary.write_all(&3u32.to_be_bytes()).unwrap();
+        binary.write_all(&[0xff, 0x00, 0xfe]).unwrap();
+        let mut response = Vec::new();
+        binary.read_to_end(&mut response).unwrap();
+        let response = String::from_utf8_lossy(&response);
+        assert!(response.contains("ERR frame payload is not valid UTF-8"), "{addr}");
 
-    // A peer that vanishes mid-frame just drops; the server keeps serving others.
-    let mut truncated = TcpStream::connect(addr).unwrap();
-    truncated.write_all(&100u32.to_be_bytes()).unwrap();
-    truncated.write_all(b"partial").unwrap();
-    drop(truncated);
+        // A peer that vanishes mid-frame just drops; the endpoint keeps serving others.
+        let mut truncated = TcpStream::connect(addr).unwrap();
+        truncated.write_all(&100u32.to_be_bytes()).unwrap();
+        truncated.write_all(b"partial").unwrap();
+        drop(truncated);
+        Client::connect(addr).unwrap().ping().unwrap();
+    }
     client.ping().unwrap();
 
-    handle.shutdown();
+    endpoints.stop();
 }
 
 #[test]
 fn frames_split_across_poll_timeouts_are_reassembled_not_dropped() {
-    let (registry, _) = traced_registry(2, 4, 5, 3, 3);
-    let handle = serve("127.0.0.1:0", registry, ServerConfig::default()).unwrap();
-    let addr = handle.local_addr();
-    // Deliver one PING frame in three slow pieces: length prefix, then the payload in
-    // two halves, each gap longer than the server's 50ms shutdown-poll timeout. The
-    // server must keep waiting for the remainder instead of re-parsing mid-frame.
-    let mut stream = TcpStream::connect(addr).unwrap();
-    let payload = b"PING";
-    stream.write_all(&(payload.len() as u32).to_be_bytes()).unwrap();
-    std::thread::sleep(std::time::Duration::from_millis(120));
-    stream.write_all(&payload[..2]).unwrap();
-    std::thread::sleep(std::time::Duration::from_millis(120));
-    stream.write_all(&payload[2..]).unwrap();
-    let mut prefix = [0u8; 4];
-    stream.read_exact(&mut prefix).unwrap();
-    let mut response = vec![0u8; u32::from_be_bytes(prefix) as usize];
-    stream.read_exact(&mut response).unwrap();
-    assert_eq!(String::from_utf8(response).unwrap(), "OK pong");
-    handle.shutdown();
+    let endpoints = Endpoints::launch();
+    for addr in endpoints.addrs() {
+        // Deliver one PING frame in three slow pieces: length prefix, then the payload
+        // in two halves, each gap longer than the 50ms idle poll. The endpoint must
+        // keep waiting for the remainder instead of re-parsing mid-frame.
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let payload = b"PING";
+        stream.write_all(&(payload.len() as u32).to_be_bytes()).unwrap();
+        std::thread::sleep(Duration::from_millis(120));
+        stream.write_all(&payload[..2]).unwrap();
+        std::thread::sleep(Duration::from_millis(120));
+        stream.write_all(&payload[2..]).unwrap();
+        assert_eq!(read_frame(&mut stream).unwrap(), "OK pong", "{addr}");
+    }
+    endpoints.stop();
 }
 
 #[test]
 fn remote_shutdown_drains_every_acceptor_thread() {
-    let (registry, _) = traced_registry(2, 4, 5, 3, 4);
-    let config =
-        ServerConfig { parallelism: Parallelism::sequential(), acceptors: 3, ..Default::default() };
-    let handle = serve("127.0.0.1:0", registry, config).unwrap();
-    let mut client = Client::connect(handle.local_addr()).unwrap();
-    client.shutdown().unwrap();
-    // With 3 acceptors blocked in accept(), wait() only returns if the remote
-    // SHUTDOWN woke all of them (the regression hung here).
-    handle.wait();
+    let endpoints = Endpoints::launch();
+    let mut idle = Vec::new();
+    for addr in endpoints.addrs() {
+        // Two connections that have been served once and then sit idle across the
+        // SHUTDOWN: wait() returns only when their threads have exited too.
+        for _ in 0..2 {
+            let mut client = Client::connect(addr).unwrap();
+            client.ping().unwrap();
+            idle.push(client);
+        }
+        Client::connect(addr).unwrap().shutdown().unwrap();
+    }
+    endpoints.server.wait();
+    endpoints.coordinator.wait();
+    drop(idle);
+    for shard in endpoints.shards {
+        shard.shutdown();
+    }
 }
 
 #[test]
@@ -463,4 +530,161 @@ fn replaying_a_revision_trace_through_the_wire_matches_the_in_process_replay() {
     assert_eq!(registry.generation("R"), shadow.generation("R"));
     client.shutdown().unwrap();
     handle.wait();
+}
+
+/// Every command word of the protocol except `SHUTDOWN` (which would stop the
+/// endpoint the fuzz test keeps probing), each with one well-formed argument.
+const FUZZ_COMMANDS: [(&str, &str); 14] = [
+    ("PING", ""),
+    ("PREPARE", " q EXISTS b,c,d . R(x,b,c,d)"),
+    ("EXEC", " q ALL CERTAIN"),
+    ("EXPLAIN", " q G POSSIBLE"),
+    ("BATCH", "\nq C CLOSED\ng L PROFILE"),
+    ("DESCRIBE", " R"),
+    ("INSERT", " R\n5\t5\t5\t5"),
+    ("DELETE", " R\n5\t5\t5\t5"),
+    ("SET-PRIORITY", " R 0>1"),
+    ("ALTER", " R A -> B"),
+    ("MUTATE", " R\n+\t6\t6\t6\t6\n-\t5\t5\t5\t5"),
+    ("SUBSCRIBE", " q G CERTAIN EVERY 2"),
+    ("UNSUBSCRIBE", " 1"),
+    ("STATS", ""),
+];
+
+/// Argument tokens: protocol words, ids, numbers, priority pairs, query fragments and
+/// escapes.
+const FUZZ_TOKENS: [&str; 36] = [
+    "q",
+    "g",
+    "R",
+    "A",
+    "ALL",
+    "L",
+    "G",
+    "C",
+    "Rep",
+    "CERTAIN",
+    "POSSIBLE",
+    "CLOSED",
+    "PROFILE",
+    "EVERY",
+    "WINDOW",
+    "COALESCE",
+    "QUEUE",
+    "0",
+    "1",
+    "-1",
+    "99999999999999999999",
+    "0>1",
+    "3>x",
+    "->",
+    "+",
+    "-",
+    "EXISTS",
+    ".",
+    "R(0,0,0,0)",
+    "R(x,b,c,d)",
+    "NOT",
+    "(",
+    "\\",
+    "\\t",
+    "",
+    "shutdown",
+];
+
+/// One fuzzed frame: a command word in random letter case, half the time followed by
+/// its well-formed argument, then up to five pieces, each a token behind a space,
+/// newline or tab, or one random byte (often not UTF-8). One frame in five is cut at a
+/// random byte, length prefix included.
+fn fuzz_frame() -> impl Strategy<Value = (Vec<u8>, Option<usize>)> {
+    let piece = (0u8..7, 0..FUZZ_TOKENS.len(), any::<u8>());
+    let pieces = prop::collection::vec(piece, 0..6);
+    let cut = (0u8..5, any::<u64>());
+    (0..FUZZ_COMMANDS.len(), any::<u64>(), any::<bool>(), pieces, cut).prop_map(
+        |(command, case, argued, pieces, (cut, cut_at))| {
+            let (word, argument) = FUZZ_COMMANDS[command];
+            let mut payload: Vec<u8> = word
+                .bytes()
+                .enumerate()
+                .map(|(i, b)| if case >> i & 1 == 1 { b.to_ascii_lowercase() } else { b })
+                .collect();
+            if argued {
+                payload.extend_from_slice(argument.as_bytes());
+            }
+            for (kind, token, byte) in pieces {
+                match kind {
+                    0..=3 => payload.push(b' '),
+                    4 => payload.push(b'\n'),
+                    5 => payload.push(b'\t'),
+                    _ => {
+                        payload.push(byte);
+                        continue;
+                    }
+                }
+                payload.extend_from_slice(FUZZ_TOKENS[token].as_bytes());
+            }
+            let mut frame = (payload.len() as u32).to_be_bytes().to_vec();
+            frame.extend(payload);
+            let cut = (cut == 0).then(|| (cut_at % frame.len() as u64) as usize);
+            (frame, cut)
+        },
+    )
+}
+
+/// Sends `frames` to `addr` on one connection, reconnecting after a frame that closes
+/// it. Every complete frame must get an answer that starts with `OK ` or `ERR `.
+fn drive_fuzzed_frames(addr: SocketAddr, frames: &[(Vec<u8>, Option<usize>)]) -> TestCaseResult {
+    let mut stream: Option<TcpStream> = None;
+    for (frame, cut) in frames {
+        let connection = match &mut stream {
+            Some(connection) => connection,
+            None => {
+                let connection = TcpStream::connect(addr).unwrap();
+                connection.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+                stream.insert(connection)
+            }
+        };
+        if let Some(cut) = *cut {
+            // A truncated frame leaves no way to resynchronise: drop the connection.
+            connection.write_all(&frame[..cut]).unwrap();
+            stream = None;
+            continue;
+        }
+        connection.write_all(frame).unwrap();
+        let answer = loop {
+            let read = read_frame(connection);
+            prop_assert!(read.is_ok(), "{addr} closed without answering {frame:?}: {read:?}");
+            let answer = read.unwrap();
+            // Pushed frames of a subscription the fuzz made are not answers.
+            if !answer.starts_with("DELTA ") && !answer.starts_with("LAGGED ") {
+                break answer;
+            }
+        };
+        prop_assert!(
+            answer.starts_with("OK ") || answer.starts_with("ERR "),
+            "{addr} answered {frame:?} with {answer:?}"
+        );
+        if answer.starts_with("ERR frame") {
+            stream = None;
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn wire_fuzz_answers_ok_or_err_on_both_endpoints() {
+    // One set of endpoints for every case: each case's writes and prepared queries are
+    // the next case's starting state.
+    let endpoints = Endpoints::launch();
+    let cases = ProptestConfig::with_cases(64);
+    let strategy = (prop::collection::vec(fuzz_frame(), 1..7),);
+    proptest::test_runner::run(&cases, &strategy, |(frames,)| {
+        for addr in endpoints.addrs() {
+            drive_fuzzed_frames(addr, &frames)?;
+            let pong = Client::connect(addr).unwrap().request_raw("PING").unwrap();
+            prop_assert_eq!(pong.as_str(), "OK pong");
+        }
+        Ok(())
+    });
+    endpoints.stop();
 }
