@@ -121,9 +121,7 @@ pub use optimality::{
 };
 pub use parallel::{BatchExecutor, BatchRequest, BatchResponse, Parallelism, MAX_THREADS};
 pub use pdqi_query::{force_naive_plan, naive_plan_forced, plan_stats, PhysicalPlan, PlanStats};
-pub use prepared::{
-    AnswerSet, ChunkTuner, ChunkTunerStats, ClosedProfile, PreparedQuery, Semantics,
-};
+pub use prepared::{AnswerSet, ClosedProfile, PreparedQuery, Semantics};
 pub use registry::{
     ChangeScope, RegistryStats, ReviseError, SnapshotLease, SnapshotRegistry, SwapEvent,
     SwapObserver, TableStats,

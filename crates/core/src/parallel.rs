@@ -14,12 +14,15 @@
 //!   each component's preferred repairs are a deterministic function of the snapshot);
 //! * [`PreparedQuery::execute_with`](crate::PreparedQuery::execute_with) and
 //!   [`PreparedQuery::consistent_answer_with`](crate::PreparedQuery::consistent_answer_with)
-//!   split the cartesian repair product into contiguous chunks, evaluate chunks on
-//!   workers, and merge in chunk order — set union/intersection make the merge
-//!   order-insensitive, and closed outcomes are replayed in enumeration order so even
-//!   the `examined` counter matches the sequential path;
+//!   split the cartesian repair product into contiguous chunks, fold each chunk on a
+//!   worker, and merge the folds in chunk order — set union/intersection make the merge
+//!   order-insensitive, and closed profiles concatenate in enumeration order so even
+//!   the `examined` counter matches the sequential path. A chunk is cut short only
+//!   when an earlier chunk already settled the answer, and an evaluation error re-runs
+//!   the walk as one chunk, so errors match the sequential path too;
 //! * [`BatchExecutor`] answers many prepared queries against one shared snapshot
-//!   concurrently (the multi-user serving shape), one query per worker at a time;
+//!   concurrently (the multi-user serving shape), one query per worker at a time, and
+//!   splits a lone query's repair product across the pool;
 //! * [`EngineBuilder::build`](crate::EngineBuilder::build) fans conflict-graph shard
 //!   scans and relation assembly out per `(relation, FD)` and per relation, and
 //!   [`EngineSnapshot::derive`](crate::EngineSnapshot::derive) re-enumerates the
@@ -36,7 +39,7 @@ use pdqi_query::QueryError;
 
 use crate::cqa::CqaOutcome;
 use crate::families::FamilyKind;
-use crate::prepared::{AnswerSet, ChunkTuner, PreparedQuery, Semantics};
+use crate::prepared::{AnswerSet, PreparedQuery, Semantics};
 use crate::snapshot::EngineSnapshot;
 
 /// How many worker threads an operation may use.
@@ -206,9 +209,10 @@ impl BatchResponse {
 /// Answers many prepared queries against one immutable snapshot concurrently — the
 /// multi-user serving shape: one snapshot, many sessions, interleaved queries.
 ///
-/// Each request is answered on one worker (queries inside a batch do not split further),
-/// so concurrent requests share the snapshot's component and answer memos: the first
-/// query touching a component enumerates it, every later query on any worker reuses it.
+/// Each request of a multi-request batch is answered on one worker (queries inside such
+/// a batch do not split further), so concurrent requests share the snapshot's component
+/// and answer memos: the first query touching a component enumerates it, every later
+/// query on any worker reuses it.
 /// Responses come back **in request order**, and every response is bit-identical to what
 /// [`PreparedQuery::execute`] / [`PreparedQuery::consistent_answer`] would have produced
 /// sequentially.
@@ -242,9 +246,6 @@ impl BatchResponse {
 pub struct BatchExecutor {
     snapshot: EngineSnapshot,
     parallelism: Parallelism,
-    /// Measured-chunk feedback for single-request batches (see [`ChunkTuner`]); shared
-    /// across clones so a long-lived server front end keeps one converging target.
-    tuner: Arc<ChunkTuner>,
 }
 
 impl BatchExecutor {
@@ -255,18 +256,7 @@ impl BatchExecutor {
 
     /// An executor over `snapshot` with an explicit degree of parallelism.
     pub fn with_parallelism(snapshot: EngineSnapshot, parallelism: Parallelism) -> Self {
-        BatchExecutor::with_tuner(snapshot, parallelism, ChunkTuner::shared())
-    }
-
-    /// An executor sharing a caller-owned [`ChunkTuner`], so the measured chunk-cost
-    /// target survives across executors (a serving front end builds one executor per
-    /// request but wants one feedback loop per process).
-    pub fn with_tuner(
-        snapshot: EngineSnapshot,
-        parallelism: Parallelism,
-        tuner: Arc<ChunkTuner>,
-    ) -> Self {
-        BatchExecutor { snapshot, parallelism, tuner }
+        BatchExecutor { snapshot, parallelism }
     }
 
     /// The snapshot every request is answered against.
@@ -279,34 +269,22 @@ impl BatchExecutor {
         self.parallelism
     }
 
-    /// The chunk-cost feedback loop single-request batches execute under.
-    pub fn tuner(&self) -> &Arc<ChunkTuner> {
-        &self.tuner
-    }
-
     /// Answers every request, returning responses in request order.
     ///
     /// Multi-request batches run one request per worker (requests are the parallel
     /// unit, sharing the snapshot's memos). A **single-request** batch instead splits
     /// its repair product into chunks across the whole pool — otherwise a lone `EXEC`
-    /// would leave every other worker idle — with measured per-chunk wall-clock feeding
-    /// the shared [`ChunkTuner`]. Either way each response is bit-identical to
+    /// would leave every other worker idle. Either way each response is bit-identical to
     /// [`PreparedQuery::execute`] / [`PreparedQuery::consistent_answer`] on the same
     /// snapshot.
     pub fn run(&self, requests: &[BatchRequest]) -> Vec<Result<BatchResponse, QueryError>> {
         if requests.len() == 1 {
             let response = match &requests[0] {
                 BatchRequest::Execute { query, family, semantics } => query
-                    .execute_tuned(
-                        &self.snapshot,
-                        *family,
-                        *semantics,
-                        self.parallelism,
-                        &self.tuner,
-                    )
+                    .execute_with(&self.snapshot, *family, *semantics, self.parallelism)
                     .map(BatchResponse::Rows),
                 BatchRequest::ConsistentAnswer { query, family } => query
-                    .consistent_answer_tuned(&self.snapshot, *family, self.parallelism, &self.tuner)
+                    .consistent_answer_with(&self.snapshot, *family, self.parallelism)
                     .map(BatchResponse::Outcome),
             };
             return vec![response];

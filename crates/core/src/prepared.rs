@@ -7,11 +7,15 @@
 //!
 //! 1. look up the snapshot's answer memo under `(components, family, fingerprint)` —
 //!    repeated executions return immediately;
-//! 2. otherwise enumerate the preferred repairs of the *relevant* components only (the
-//!    components of the relations the query mentions), assembled from the snapshot's
-//!    per-component memo, evaluating the query per repair;
+//! 2. otherwise walk the product of the preferred repairs of the *relevant* components
+//!    only (the components of the relations the query mentions), assembled from the
+//!    snapshot's per-component memo, evaluating the query per repair;
 //! 3. store the result in the memo and hand back a streaming [`AnswerSet`] cursor over
 //!    the shared row buffer.
+//!
+//! Open rows, closed outcomes and closed profiles all come from one walk over that
+//! product: contiguous chunks of the enumeration order, each folded on its own
+//! (sequential execution is the one-chunk case) and merged in chunk order.
 //!
 //! Ground queries under the plain repair family keep their polynomial fast path
 //! ([`crate::cqa_ground`]), reported with `examined == 0` as before.
@@ -20,12 +24,11 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use pdqi_query::classify::{classify, QueryClass};
-use pdqi_query::{parse_formula, Evaluator, Formula, QueryError};
+use pdqi_query::{parse_formula, Evaluator, Formula, PhysicalPlan, QueryError};
 use pdqi_relation::{TupleSet, Value};
 
 use crate::cqa::CqaOutcome;
@@ -175,16 +178,14 @@ impl PreparedQuery {
     ///
     /// With a parallel configuration, the relevant components are warmed across workers
     /// and the cartesian product of per-component preferred repairs is split into
-    /// contiguous chunks evaluated concurrently. Chunking is **adaptive**: the chunk
-    /// count is derived from the memoised per-component preferred-repair counts and the
-    /// estimated per-selection evaluation cost (see [`adaptive_chunk_count`]), so small
-    /// products pay few cursor setups while heavy or skewed products hand the pool
-    /// enough chunks for the shared atomic work index to steal from. The answer set is
-    /// **bit-identical** to the sequential execution — certain/possible folding is a set
+    /// contiguous chunks evaluated concurrently. The chunk count is derived from the
+    /// memoised per-component preferred-repair counts and the estimated per-selection
+    /// evaluation cost (see [`adaptive_chunk_count`]), so small products pay few cursor
+    /// setups while heavy or skewed products hand the pool enough chunks for the shared
+    /// atomic work index to steal from. The answer set is **bit-identical** to the
+    /// sequential execution, errors included — certain/possible folding is a set
     /// intersection/union, so merging per-chunk folds in chunk order reproduces the
     /// sequential fold exactly — and the memoised entry is indistinguishable too.
-    /// Products that saturate the `u128` counter fall back to the sequential path
-    /// rather than trusting truncated chunk boundaries.
     pub fn execute_with(
         &self,
         snapshot: &EngineSnapshot,
@@ -192,204 +193,33 @@ impl PreparedQuery {
         semantics: Semantics,
         parallelism: Parallelism,
     ) -> Result<AnswerSet, QueryError> {
-        self.execute_inner(snapshot, kind, semantics, parallelism, None)
-    }
-
-    /// [`PreparedQuery::execute_with`] with a [`ChunkTuner`] in the loop: chunk sizes
-    /// come from the tuner's measured per-chunk cost target, and every fully-evaluated
-    /// chunk's wall-clock is recorded back. Results are bit-identical either way; only
-    /// the split of the repair product changes.
-    pub fn execute_tuned(
-        &self,
-        snapshot: &EngineSnapshot,
-        kind: FamilyKind,
-        semantics: Semantics,
-        parallelism: Parallelism,
-        tuner: &ChunkTuner,
-    ) -> Result<AnswerSet, QueryError> {
-        self.execute_inner(snapshot, kind, semantics, parallelism, Some(tuner))
-    }
-
-    fn execute_inner(
-        &self,
-        snapshot: &EngineSnapshot,
-        kind: FamilyKind,
-        semantics: Semantics,
-        parallelism: Parallelism,
-        tuner: Option<&ChunkTuner>,
-    ) -> Result<AnswerSet, QueryError> {
         let key = AnswerKey { fingerprint: self.fingerprint, family: kind, mode: semantics.mode() };
         if let Some(entry) = snapshot.cached_answer(&key, &self.formula) {
             return Ok(AnswerSet::new(Arc::clone(&entry.columns), Arc::clone(&entry.rows)));
         }
         let relevant = self.relevant_relations(snapshot);
-        let plan = self.plan_for(snapshot, kind, &relevant, parallelism, tuner);
-        let accumulated = self.accumulate_rows(
+        let plan = self.plan_for(snapshot, kind, &relevant, parallelism);
+        let (_, folds) = self.walk(
             snapshot,
             kind,
-            semantics,
             &relevant,
             parallelism,
-            tuner,
             plan.as_deref(),
+            &|| None,
+            &|fold, evaluator| {
+                let folded = fold_rows(fold, evaluator.answer_rows(&self.formula)?, semantics);
+                // Certain answers only shrink; once empty the outcome is settled.
+                Ok(semantics == Semantics::Certain && folded.is_empty())
+            },
         )?;
-        let rows: Arc<Vec<Vec<Value>>> = Arc::new(accumulated.into_iter().collect());
+        let mut merged = None;
+        for rows in folds.into_iter().flatten() {
+            fold_rows(&mut merged, rows, semantics);
+        }
+        let rows: Arc<Vec<Vec<Value>>> = Arc::new(merged.unwrap_or_default().into_iter().collect());
         let columns = Arc::new(self.free.clone());
         let entry = snapshot.store_answer(key, &self.formula, &relevant, rows, columns, None);
         Ok(AnswerSet::new(Arc::clone(&entry.columns), Arc::clone(&entry.rows)))
-    }
-
-    /// Folds per-repair answer rows under the chosen semantics, parallel when asked.
-    #[allow(clippy::too_many_arguments)]
-    fn accumulate_rows(
-        &self,
-        snapshot: &EngineSnapshot,
-        kind: FamilyKind,
-        semantics: Semantics,
-        relevant: &[usize],
-        parallelism: Parallelism,
-        tuner: Option<&ChunkTuner>,
-        plan: Option<&pdqi_query::PhysicalPlan>,
-    ) -> Result<BTreeSet<Vec<Value>>, QueryError> {
-        if !parallelism.is_sequential() {
-            if let Some(rows) = self.accumulate_rows_parallel(
-                snapshot,
-                kind,
-                semantics,
-                relevant,
-                parallelism,
-                tuner,
-                plan,
-            ) {
-                return Ok(rows);
-            }
-            // Fall back to the sequential path: either a worker hit an evaluation
-            // error (rerunning sequentially makes error reporting, and its interaction
-            // with early exits, match exactly — redundant work only on the failure
-            // path), or the repair product saturated `u128` (the sequential recursion
-            // never indexes the product, so it needs no chunk boundaries).
-        }
-        self.accumulate_rows_sequential(snapshot, kind, semantics, relevant, plan)
-    }
-
-    fn accumulate_rows_sequential(
-        &self,
-        snapshot: &EngineSnapshot,
-        kind: FamilyKind,
-        semantics: Semantics,
-        relevant: &[usize],
-        plan: Option<&pdqi_query::PhysicalPlan>,
-    ) -> Result<BTreeSet<Vec<Value>>, QueryError> {
-        let mut accumulated: Option<BTreeSet<Vec<Value>>> = None;
-        let mut error: Option<QueryError> = None;
-        snapshot.for_each_preferred_selection(kind, relevant, &mut |selection| {
-            let evaluator = self.evaluator_for(snapshot, relevant, selection, plan);
-            let rows = match evaluator.answer_rows(&self.formula) {
-                Ok(rows) => rows,
-                Err(e) => {
-                    error = Some(e);
-                    return ControlFlow::Break(());
-                }
-            };
-            accumulated = Some(fold_rows(accumulated.take(), rows, semantics));
-            // Certain answers only shrink; once empty the outcome is settled.
-            if semantics == Semantics::Certain
-                && accumulated.as_ref().is_some_and(BTreeSet::is_empty)
-            {
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
-            }
-        });
-        if let Some(e) = error {
-            return Err(e);
-        }
-        Ok(accumulated.unwrap_or_default())
-    }
-
-    /// The parallel row fold: `None` means the caller must fall back to the sequential
-    /// path — either a worker hit an evaluation error (rerunning sequentially reproduces
-    /// its exact reporting), or the repair product saturated `u128` and indexed chunking
-    /// is off the table.
-    #[allow(clippy::too_many_arguments)]
-    fn accumulate_rows_parallel(
-        &self,
-        snapshot: &EngineSnapshot,
-        kind: FamilyKind,
-        semantics: Semantics,
-        relevant: &[usize],
-        parallelism: Parallelism,
-        tuner: Option<&ChunkTuner>,
-        plan: Option<&pdqi_query::PhysicalPlan>,
-    ) -> Option<BTreeSet<Vec<Value>>> {
-        snapshot.warm_relation_components(kind, relevant, parallelism);
-        let Some(lists) = snapshot.selection_lists(kind, relevant) else {
-            // Some component has no preferred repair: the product is empty.
-            return Some(BTreeSet::new());
-        };
-        let total = product_size(&lists);
-        if total == u128::MAX {
-            // The product saturated the counter: chunk boundaries could no longer be
-            // trusted to cover every selection, so fall back to the sequential path
-            // (which enumerates recursively and never indexes the product).
-            return None;
-        }
-        let cost = self.selection_cost(snapshot, relevant, &lists, plan);
-        let target = tuner.map_or(TARGET_CHUNK_COST, |t| t.target_chunk_cost_for(self.fingerprint));
-        let chunks =
-            chunk_ranges(total, adaptive_chunk_count_with_target(total, cost, parallelism, target));
-        // The parallel analogue of the sequential Certain early exit: the merged result
-        // is an intersection, so one empty chunk fold empties it globally and every
-        // worker can stop.
-        let globally_empty = std::sync::atomic::AtomicBool::new(false);
-        let folds: Vec<Result<Option<BTreeSet<Vec<Value>>>, QueryError>> =
-            run_jobs(parallelism, chunks.len(), |index| {
-                let (start, end) = chunks[index];
-                let started = tuner.map(|_| Instant::now());
-                let mut cursor = SelectionCursor::new(snapshot, &lists, start);
-                let mut accumulated: Option<BTreeSet<Vec<Value>>> = None;
-                let mut at = start;
-                while at < end {
-                    if semantics == Semantics::Certain
-                        && globally_empty.load(std::sync::atomic::Ordering::Relaxed)
-                    {
-                        return Ok(Some(BTreeSet::new()));
-                    }
-                    let evaluator =
-                        self.evaluator_for(snapshot, relevant, cursor.selection(), plan);
-                    let rows = evaluator.answer_rows(&self.formula)?;
-                    accumulated = Some(fold_rows(accumulated.take(), rows, semantics));
-                    if semantics == Semantics::Certain
-                        && accumulated.as_ref().is_some_and(BTreeSet::is_empty)
-                    {
-                        globally_empty.store(true, std::sync::atomic::Ordering::Relaxed);
-                        return Ok(accumulated);
-                    }
-                    at += 1;
-                    if at < end {
-                        cursor.advance();
-                    }
-                }
-                // Only fully-evaluated chunks feed the tuner: an early exit's timing
-                // reflects the cut-off, not the per-selection cost.
-                if let (Some(tuner), Some(started)) = (tuner, started) {
-                    tuner.record_for(
-                        self.fingerprint,
-                        (end - start).saturating_mul(cost),
-                        started.elapsed().as_nanos(),
-                    );
-                }
-                Ok(accumulated)
-            });
-        let mut merged: Option<BTreeSet<Vec<Value>>> = None;
-        for fold in folds {
-            match fold {
-                Err(_) => return None,
-                Ok(None) => {}
-                Ok(Some(rows)) => merged = Some(fold_rows(merged.take(), rows, semantics)),
-            }
-        }
-        Some(merged.unwrap_or_default())
     }
 
     /// The preferred consistent answer to a closed query (Definition 3): whether the
@@ -409,77 +239,34 @@ impl PreparedQuery {
 
     /// [`PreparedQuery::consistent_answer`] with an explicit degree of parallelism.
     ///
-    /// Workers evaluate contiguous chunks of the repair product and record per-repair
-    /// truth values **in enumeration order**; the outcome is then replayed with the
-    /// sequential early-exit rule, so the result — including the `examined` counter —
-    /// is bit-identical to the sequential path. (For undetermined outcomes the workers
-    /// may evaluate repairs the sequential path would have skipped; that extra work
-    /// never changes the answer.)
+    /// The outcome is the [`ClosedProfile`] of the walk, replayed under the sequential
+    /// early-exit rule ([`ClosedProfile::outcome`]): workers fold chunk-local profiles
+    /// of contiguous chunks and the profiles concatenate in chunk order, so the result —
+    /// including the `examined` counter — is bit-identical to the sequential path. (For
+    /// undetermined outcomes the workers may evaluate repairs the sequential path would
+    /// have skipped; that extra work never changes the answer.)
     pub fn consistent_answer_with(
         &self,
         snapshot: &EngineSnapshot,
         kind: FamilyKind,
         parallelism: Parallelism,
     ) -> Result<CqaOutcome, QueryError> {
-        self.consistent_answer_inner(snapshot, kind, parallelism, None)
-    }
-
-    /// [`PreparedQuery::consistent_answer_with`] with a [`ChunkTuner`] in the loop (see
-    /// [`PreparedQuery::execute_tuned`]).
-    pub fn consistent_answer_tuned(
-        &self,
-        snapshot: &EngineSnapshot,
-        kind: FamilyKind,
-        parallelism: Parallelism,
-        tuner: &ChunkTuner,
-    ) -> Result<CqaOutcome, QueryError> {
-        self.consistent_answer_inner(snapshot, kind, parallelism, Some(tuner))
-    }
-
-    fn consistent_answer_inner(
-        &self,
-        snapshot: &EngineSnapshot,
-        kind: FamilyKind,
-        parallelism: Parallelism,
-        tuner: Option<&ChunkTuner>,
-    ) -> Result<CqaOutcome, QueryError> {
-        if !self.free.is_empty() {
-            return Err(QueryError::FreeVariables { variables: self.free.clone() });
-        }
+        self.require_closed()?;
         let key =
             AnswerKey { fingerprint: self.fingerprint, family: kind, mode: AnswerMode::Closed };
-        if let Some(entry) = snapshot.cached_answer(&key, &self.formula) {
-            if let Some(outcome) = entry.outcome {
-                return Ok(outcome);
-            }
+        if let Some(outcome) =
+            snapshot.cached_answer(&key, &self.formula).and_then(|entry| entry.outcome)
+        {
+            return Ok(outcome);
         }
         let relevant = self.relevant_relations(snapshot);
-        if kind == FamilyKind::Rep
-            && self.class == QueryClass::Ground
-            && snapshot.relation_count() == 1
-        {
-            let ctx = snapshot.context();
-            let negated = Formula::Not(Box::new(self.formula.clone()));
-            let certainly_true = ground_consistent_answer(ctx, &self.formula);
-            let certainly_false = ground_consistent_answer(ctx, &negated);
-            if let (Ok(certainly_true), Ok(certainly_false)) = (certainly_true, certainly_false) {
-                let outcome = CqaOutcome { certainly_true, certainly_false, examined: 0 };
-                snapshot.store_answer(
-                    key,
-                    &self.formula,
-                    &relevant,
-                    Arc::new(Vec::new()),
-                    Arc::new(Vec::new()),
-                    Some(outcome),
-                );
-                return Ok(outcome);
+        let outcome = match self.ground_outcome(snapshot, kind) {
+            Some(outcome) => outcome,
+            None => {
+                let plan = self.plan_for(snapshot, kind, &relevant, parallelism);
+                self.profile(snapshot, kind, &relevant, parallelism, plan.as_deref())?.outcome()
             }
-            // Fall through to the generic pipeline on analysis errors so the caller
-            // gets the standard error reporting.
-        }
-        let plan = self.plan_for(snapshot, kind, &relevant, parallelism, tuner);
-        let outcome =
-            self.closed_outcome(snapshot, kind, &relevant, parallelism, tuner, plan.as_deref())?;
+        };
         snapshot.store_answer(
             key,
             &self.formula,
@@ -491,213 +278,172 @@ impl PreparedQuery {
         Ok(outcome)
     }
 
-    fn closed_outcome(
-        &self,
-        snapshot: &EngineSnapshot,
-        kind: FamilyKind,
-        relevant: &[usize],
-        parallelism: Parallelism,
-        tuner: Option<&ChunkTuner>,
-        plan: Option<&pdqi_query::PhysicalPlan>,
-    ) -> Result<CqaOutcome, QueryError> {
-        if !parallelism.is_sequential() {
-            if let Some(verdicts) =
-                self.closed_verdicts_parallel(snapshot, kind, relevant, parallelism, tuner, plan)
-            {
-                // Replay the per-repair truth values in enumeration order under the
-                // sequential early-exit rule: identical outcome, identical `examined`.
-                let mut outcome =
-                    CqaOutcome { certainly_true: true, certainly_false: true, examined: 0 };
-                for verdict in verdicts {
-                    match verdict {
-                        true => outcome.certainly_false = false,
-                        false => outcome.certainly_true = false,
-                    }
-                    outcome.examined += 1;
-                    if outcome.is_undetermined() {
-                        break;
-                    }
-                }
-                return Ok(outcome);
-            }
-            // Evaluation error or saturated product: rerun sequentially (see
-            // `accumulate_rows`).
-        }
-        self.closed_outcome_sequential(snapshot, kind, relevant, plan)
-    }
-
-    fn closed_outcome_sequential(
-        &self,
-        snapshot: &EngineSnapshot,
-        kind: FamilyKind,
-        relevant: &[usize],
-        plan: Option<&pdqi_query::PhysicalPlan>,
-    ) -> Result<CqaOutcome, QueryError> {
-        let mut outcome = CqaOutcome { certainly_true: true, certainly_false: true, examined: 0 };
-        let mut error: Option<QueryError> = None;
-        snapshot.for_each_preferred_selection(kind, relevant, &mut |selection| {
-            let evaluator = self.evaluator_for(snapshot, relevant, selection, plan);
-            match evaluator.eval_closed(&self.formula) {
-                Ok(true) => outcome.certainly_false = false,
-                Ok(false) => outcome.certainly_true = false,
-                Err(e) => {
-                    error = Some(e);
-                    return ControlFlow::Break(());
-                }
-            }
-            outcome.examined += 1;
-            if outcome.is_undetermined() {
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
-            }
-        });
-        if let Some(e) = error {
-            return Err(e);
-        }
-        Ok(outcome)
-    }
-
-    /// Per-repair truth values in enumeration order, evaluated across workers. `None`
-    /// means fall back to the sequential path: a worker hit an evaluation error, or the
-    /// repair product saturated `u128`.
-    ///
-    /// The sequential path stops at the first position whose prefix holds both a true
-    /// and a false verdict (undetermined). The parallel analogue: a chunk that becomes
-    /// undetermined *within itself* stops immediately — the replay is guaranteed to
-    /// break at (or before) that position — and publishes its chunk index, so every
-    /// later chunk, whose verdicts the replay can then never reach, stops as well.
-    /// Earlier chunks still run to completion: their verdicts feed the replayed
-    /// `examined` count, which must match the sequential path exactly.
-    #[allow(clippy::too_many_arguments)]
-    fn closed_verdicts_parallel(
-        &self,
-        snapshot: &EngineSnapshot,
-        kind: FamilyKind,
-        relevant: &[usize],
-        parallelism: Parallelism,
-        tuner: Option<&ChunkTuner>,
-        plan: Option<&pdqi_query::PhysicalPlan>,
-    ) -> Option<Vec<bool>> {
-        snapshot.warm_relation_components(kind, relevant, parallelism);
-        let Some(lists) = snapshot.selection_lists(kind, relevant) else {
-            return Some(Vec::new());
-        };
-        let total = product_size(&lists);
-        if total == u128::MAX {
-            // Saturated product: fall back to the sequential path (see
-            // `accumulate_rows_parallel`).
+    /// The polynomial conflict-graph answer to a ground query under
+    /// [`FamilyKind::Rep`] on a single-relation snapshot. `None` for every other
+    /// combination, and on analysis errors, so the walk gives the standard error
+    /// reporting.
+    fn ground_outcome(&self, snapshot: &EngineSnapshot, kind: FamilyKind) -> Option<CqaOutcome> {
+        if kind != FamilyKind::Rep
+            || self.class != QueryClass::Ground
+            || snapshot.relation_count() != 1
+        {
             return None;
         }
-        let cost = self.selection_cost(snapshot, relevant, &lists, plan);
-        let target = tuner.map_or(TARGET_CHUNK_COST, |t| t.target_chunk_cost_for(self.fingerprint));
-        let chunks =
-            chunk_ranges(total, adaptive_chunk_count_with_target(total, cost, parallelism, target));
-        let undetermined_chunk = std::sync::atomic::AtomicUsize::new(usize::MAX);
-        let verdicts: Vec<Result<Vec<bool>, QueryError>> =
-            run_jobs(parallelism, chunks.len(), |index| {
-                let (start, end) = chunks[index];
-                let started = tuner.map(|_| Instant::now());
-                let mut cursor = SelectionCursor::new(snapshot, &lists, start);
-                let mut mine = Vec::new();
-                let (mut saw_true, mut saw_false) = (false, false);
-                let mut at = start;
-                while at < end {
-                    if undetermined_chunk.load(std::sync::atomic::Ordering::Relaxed) < index {
-                        // An earlier chunk is undetermined: the replay stops inside it
-                        // and never consults this chunk's verdicts.
-                        return Ok(mine);
-                    }
-                    let verdict = {
-                        let evaluator =
-                            self.evaluator_for(snapshot, relevant, cursor.selection(), plan);
-                        evaluator.eval_closed(&self.formula)?
-                    };
-                    mine.push(verdict);
-                    match verdict {
-                        true => saw_true = true,
-                        false => saw_false = true,
-                    }
-                    if saw_true && saw_false {
-                        // This chunk is undetermined on its own: the replay breaks at
-                        // this verdict, so the rest of the chunk is irrelevant too.
-                        undetermined_chunk.fetch_min(index, std::sync::atomic::Ordering::Relaxed);
-                        return Ok(mine);
-                    }
-                    at += 1;
-                    if at < end {
-                        cursor.advance();
-                    }
-                }
-                if let (Some(tuner), Some(started)) = (tuner, started) {
-                    tuner.record_for(
-                        self.fingerprint,
-                        (end - start).saturating_mul(cost),
-                        started.elapsed().as_nanos(),
-                    );
-                }
-                Ok(mine)
-            });
-        let mut ordered = Vec::new();
-        for chunk in verdicts {
-            match chunk {
-                Err(_) => return None,
-                Ok(mine) => ordered.extend(mine),
-            }
-        }
-        Some(ordered)
+        let ctx = snapshot.context();
+        let negated = Formula::Not(Box::new(self.formula.clone()));
+        let certainly_true = ground_consistent_answer(ctx, &self.formula).ok()?;
+        let certainly_false = ground_consistent_answer(ctx, &negated).ok()?;
+        Some(CqaOutcome { certainly_true, certainly_false, examined: 0 })
     }
 
     /// The enumeration-order [`ClosedProfile`] of a closed query: the size of the
     /// preferred-repair product plus the positions of the first `true` and first
     /// `false` verdicts, in the exact order the sequential fold visits selections.
     ///
-    /// The walk stops as soon as both positions are known (everything after the later
-    /// of the two can no longer change the profile), so the cost matches
-    /// [`PreparedQuery::consistent_answer`]'s undetermined early exit on undetermined
-    /// outcomes and the full enumeration otherwise. Results are not memoised — the
-    /// caller (the scatter-gather coordinator's `PROFILE` surface) asks each shard
-    /// once per merge.
+    /// This is [`PreparedQuery::consistent_answer`]'s walk without the answer memo, so
+    /// it stops as soon as both positions are known (everything after the later of the
+    /// two can no longer change the profile). Results are not memoised — the caller
+    /// (the scatter-gather coordinator's `PROFILE` surface) asks each shard once per
+    /// merge.
     pub fn closed_profile(
         &self,
         snapshot: &EngineSnapshot,
         kind: FamilyKind,
     ) -> Result<ClosedProfile, QueryError> {
-        if !self.free.is_empty() {
-            return Err(QueryError::FreeVariables { variables: self.free.clone() });
-        }
+        self.require_closed()?;
         let relevant = self.relevant_relations(snapshot);
-        snapshot.warm_relation_components(kind, &relevant, Parallelism::sequential());
-        let Some(lists) = snapshot.selection_lists(kind, &relevant) else {
-            return Ok(ClosedProfile { total: 0, first_true: None, first_false: None });
+        self.profile(snapshot, kind, &relevant, Parallelism::sequential(), None)
+    }
+
+    /// The closed-query walk: every chunk folds a chunk-local [`ClosedProfile`] and
+    /// stops once it holds both verdicts; the profiles concatenate in chunk order.
+    fn profile(
+        &self,
+        snapshot: &EngineSnapshot,
+        kind: FamilyKind,
+        relevant: &[usize],
+        parallelism: Parallelism,
+        plan: Option<&PhysicalPlan>,
+    ) -> Result<ClosedProfile, QueryError> {
+        let (total, chunks) = self.walk(
+            snapshot,
+            kind,
+            relevant,
+            parallelism,
+            plan,
+            &ClosedProfile::default,
+            &|profile, evaluator| {
+                profile.record(evaluator.eval_closed(&self.formula)?);
+                Ok(profile.is_settled())
+            },
+        )?;
+        let walked = chunks.into_iter().fold(ClosedProfile::default(), ClosedProfile::then);
+        Ok(ClosedProfile { total, ..walked })
+    }
+
+    /// Closed answers need a closed query.
+    fn require_closed(&self) -> Result<(), QueryError> {
+        match self.free.is_empty() {
+            true => Ok(()),
+            false => Err(QueryError::FreeVariables { variables: self.free.clone() }),
+        }
+    }
+
+    /// The one walk over a repair product behind every answer. It visits the product
+    /// of the relevant relations' preferred repairs in enumeration order, split into
+    /// contiguous chunks that run across the workers (sequential execution is the
+    /// one-chunk case). Each chunk folds its own state from `init`: `step` folds an
+    /// evaluator over one selection into it and says whether the fold is settled.
+    ///
+    /// A chunk ends early when its fold is settled or `step` fails, and it is cut short
+    /// only when an *earlier* chunk ended early: the chunks after the earliest early
+    /// exit cannot change the answer, but every chunk before it must be seen. Returns
+    /// the product size and the states of the chunks the answer depends on — every
+    /// chunk up to and including the earliest that ended early — in chunk order.
+    ///
+    /// An evaluation error among those chunks re-runs the walk as one chunk, whose
+    /// first error is exactly the sequential one: a chunk cannot tell whether the
+    /// selections before it would have settled the fold before its failing selection.
+    /// A product that saturates `u128` cannot be indexed, so it runs as one chunk that
+    /// ends when the cursor wraps.
+    #[allow(clippy::too_many_arguments)]
+    fn walk<S: Send>(
+        &self,
+        snapshot: &EngineSnapshot,
+        kind: FamilyKind,
+        relevant: &[usize],
+        parallelism: Parallelism,
+        plan: Option<&PhysicalPlan>,
+        init: &(impl Fn() -> S + Sync),
+        step: &(impl Fn(&mut S, Evaluator<'_>) -> Result<bool, QueryError> + Sync),
+    ) -> Result<(u128, Vec<S>), QueryError> {
+        if !parallelism.is_sequential() {
+            snapshot.warm_relation_components(kind, relevant, parallelism);
+        }
+        let Some(lists) = snapshot.selection_lists(kind, relevant) else {
+            // Some component has no preferred repair: the product is empty.
+            return Ok((0, Vec::new()));
         };
         let total = product_size(&lists);
-        let mut first_true = None;
-        let mut first_false = None;
-        if total > 0 {
-            let mut cursor = SelectionCursor::new(snapshot, &lists, 0);
-            let mut at = 0u128;
-            loop {
-                let verdict = {
-                    let evaluator =
-                        self.evaluator_for(snapshot, &relevant, cursor.selection(), None);
-                    evaluator.eval_closed(&self.formula)?
-                };
-                match verdict {
-                    true => first_true = first_true.or(Some(at)),
-                    false => first_false = first_false.or(Some(at)),
+        let ranges: Vec<(u128, Option<u128>)> = if total == u128::MAX {
+            vec![(0, None)]
+        } else if parallelism.is_sequential() {
+            vec![(0, Some(total))]
+        } else {
+            // The plan's per-selection estimate when one was costed, the uniform
+            // structural heuristic under the naive strategy. Either way the number only
+            // shapes the split, never the answers.
+            let cost = match plan {
+                Some(plan) => u128::from(plan.est_selection_cost).max(1),
+                None => snapshot.estimate_selection_cost(relevant, &lists),
+            };
+            chunk_ranges(total, adaptive_chunk_count(total, cost, parallelism))
+                .into_iter()
+                .map(|(start, end)| (start, Some(end - start)))
+                .collect()
+        };
+        // The earliest chunk that ended early. It only tells later chunks to stop; the
+        // states reach the merge through the workers' joins, so `Relaxed` suffices.
+        let earliest_exit = AtomicUsize::new(usize::MAX);
+        let walked = run_jobs(parallelism, ranges.len(), |index| {
+            let (start, len) = ranges[index];
+            let mut state = init();
+            let mut error = None;
+            let exited = SelectionCursor::new(snapshot, &lists, start).walk(
+                len,
+                || earliest_exit.load(Ordering::Relaxed) < index,
+                |selection| {
+                    let evaluator = self.evaluator_for(snapshot, relevant, selection, plan);
+                    match step(&mut state, evaluator) {
+                        Ok(false) => ControlFlow::Continue(()),
+                        Ok(true) => ControlFlow::Break(()),
+                        Err(e) => {
+                            error = Some(e);
+                            ControlFlow::Break(())
+                        }
+                    }
+                },
+            );
+            if exited {
+                earliest_exit.fetch_min(index, Ordering::Relaxed);
+            }
+            (error.map_or(Ok(state), Err), exited)
+        });
+        let mut states = Vec::with_capacity(walked.len());
+        for (state, exited) in walked {
+            match state {
+                Ok(state) => states.push(state),
+                Err(e) if ranges.len() == 1 => return Err(e),
+                Err(_) => {
+                    let sequential = Parallelism::sequential();
+                    return self.walk(snapshot, kind, relevant, sequential, plan, init, step);
                 }
-                if first_true.is_some() && first_false.is_some() {
-                    break;
-                }
-                at += 1;
-                if at >= total {
-                    break;
-                }
-                cursor.advance();
+            }
+            if exited {
+                break;
             }
         }
-        Ok(ClosedProfile { total, first_true, first_false })
+        Ok((total, states))
     }
 
     /// Certain answers as an eager, sorted row list (convenience over
@@ -723,14 +469,12 @@ impl PreparedQuery {
     /// mentions restricted to the current repair selection. A [`PhysicalPlan`] supplies
     /// the evaluation hints — the chosen join order and eval path — both pinned
     /// bit-identical to the unhinted evaluator.
-    ///
-    /// [`PhysicalPlan`]: pdqi_query::PhysicalPlan
     fn evaluator_for<'a>(
         &self,
         snapshot: &'a EngineSnapshot,
         relevant: &[usize],
         selection: &'a [TupleSet],
-        plan: Option<&pdqi_query::PhysicalPlan>,
+        plan: Option<&PhysicalPlan>,
     ) -> Evaluator<'a> {
         let mut evaluator = Evaluator::new();
         if let Some(plan) = plan {
@@ -751,22 +495,6 @@ impl PreparedQuery {
         evaluator
     }
 
-    /// The per-selection evaluation cost fed to adaptive chunking: the physical plan's
-    /// estimate when one was costed, the uniform structural heuristic under the naive
-    /// strategy. Either way the number only shapes the chunk split, never the answers.
-    fn selection_cost(
-        &self,
-        snapshot: &EngineSnapshot,
-        relevant: &[usize],
-        lists: &[(usize, Arc<Vec<TupleSet>>)],
-        plan: Option<&pdqi_query::PhysicalPlan>,
-    ) -> u128 {
-        match plan {
-            Some(plan) => (plan.est_selection_cost as u128).max(1),
-            None => snapshot.estimate_selection_cost(relevant, lists),
-        }
-    }
-
     /// The physical plan for this query on this snapshot: served from the snapshot's
     /// plan cache when this `(fingerprint, family)` was costed before (and the swap
     /// derivations carried it), costed fresh from the memo's cardinalities otherwise.
@@ -778,8 +506,7 @@ impl PreparedQuery {
         kind: FamilyKind,
         relevant: &[usize],
         parallelism: Parallelism,
-        tuner: Option<&ChunkTuner>,
-    ) -> Option<Arc<pdqi_query::PhysicalPlan>> {
+    ) -> Option<Arc<PhysicalPlan>> {
         if pdqi_query::naive_plan_forced() {
             pdqi_query::planner::note_naive();
             return None;
@@ -788,7 +515,7 @@ impl PreparedQuery {
             pdqi_query::planner::note_plan_cache_hit();
             return Some(Arc::clone(&entry.plan));
         }
-        let inputs = self.planner_inputs(snapshot, kind, relevant, parallelism, tuner);
+        let inputs = self.planner_inputs(snapshot, kind, relevant, parallelism);
         let plan = pdqi_query::planner::plan(&self.formula, &inputs);
         let entry = snapshot.store_plan(self.fingerprint, kind, &self.formula, relevant, plan);
         Some(Arc::clone(&entry.plan))
@@ -803,7 +530,6 @@ impl PreparedQuery {
         kind: FamilyKind,
         relevant: &[usize],
         parallelism: Parallelism,
-        tuner: Option<&ChunkTuner>,
     ) -> pdqi_query::PlannerInputs {
         let entries = snapshot.entries();
         let relations: Vec<pdqi_query::RelationStats> = relevant
@@ -838,10 +564,6 @@ impl PreparedQuery {
                 FamilyKind::Local | FamilyKind::SemiGlobal | FamilyKind::Global
             ),
             workers: parallelism.thread_count(),
-            target_chunk_cost: tuner
-                .map_or(TARGET_CHUNK_COST, |t| t.target_chunk_cost_for(self.fingerprint))
-                .try_into()
-                .unwrap_or(u64::MAX),
         }
     }
 
@@ -865,7 +587,7 @@ impl PreparedQuery {
             Some(text) => format!("query {text}"),
             None => format!("query fingerprint={:016x}", self.fingerprint),
         };
-        let mut out = match self.plan_for(snapshot, kind, &relevant, parallelism, None) {
+        let mut out = match self.plan_for(snapshot, kind, &relevant, parallelism) {
             Some(plan) => plan.render(Some(&summary)),
             None => format!(
                 "plan family={} naive (PDQI_FORCE_NAIVE_PLAN)\n├─ {summary}\n",
@@ -903,7 +625,7 @@ impl PreparedQuery {
 /// (single-positive-atom existential queries), the global profile derives from
 /// per-shard profiles by mixed-radix weight arithmetic alone, and
 /// [`ClosedProfile::outcome`] turns it back into the sequential outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClosedProfile {
     /// The size of the preferred-repair product (0 when some component has no
     /// preferred repair at all).
@@ -942,23 +664,51 @@ impl ClosedProfile {
             },
         }
     }
+
+    /// Appends one verdict at the next position; `total` counts the verdicts so far.
+    fn record(&mut self, verdict: bool) {
+        let first = if verdict { &mut self.first_true } else { &mut self.first_false };
+        if first.is_none() {
+            *first = Some(self.total);
+        }
+        self.total += 1;
+    }
+
+    /// Whether both verdicts were seen: no later selection can change the profile.
+    fn is_settled(&self) -> bool {
+        self.first_true.is_some() && self.first_false.is_some()
+    }
+
+    /// The profile of this range of the enumeration followed by the next range.
+    fn then(self, next: ClosedProfile) -> ClosedProfile {
+        let shift = |position: Option<u128>| position.map(|p| self.total + p);
+        ClosedProfile {
+            total: self.total + next.total,
+            first_true: self.first_true.or(shift(next.first_true)),
+            first_false: self.first_false.or(shift(next.first_false)),
+        }
+    }
 }
 
-/// One fold step of the certain/possible accumulation. Intersection and union are
-/// associative and commutative, so folding per-chunk and merging chunks in order is
-/// bit-identical to the sequential left fold.
+/// One fold step of the certain/possible accumulation, returning the folded rows.
+/// Intersection and union are associative and commutative, so folding per chunk and
+/// merging chunks in order is bit-identical to the sequential left fold.
 fn fold_rows(
-    accumulated: Option<BTreeSet<Vec<Value>>>,
-    rows: BTreeSet<Vec<Value>>,
+    fold: &mut Option<BTreeSet<Vec<Value>>>,
+    mut rows: BTreeSet<Vec<Value>>,
     semantics: Semantics,
-) -> BTreeSet<Vec<Value>> {
-    match accumulated {
+) -> &BTreeSet<Vec<Value>> {
+    let folded = match fold.take() {
         None => rows,
-        Some(previous) => match semantics {
-            Semantics::Certain => previous.intersection(&rows).cloned().collect(),
-            Semantics::Possible => previous.union(&rows).cloned().collect(),
-        },
-    }
+        Some(mut previous) => {
+            match semantics {
+                Semantics::Certain => previous.retain(|row| rows.contains(row)),
+                Semantics::Possible => previous.append(&mut rows),
+            }
+            previous
+        }
+    };
+    fold.insert(folded)
 }
 
 /// The size of the cartesian repair product described by `lists`, saturating at
@@ -967,206 +717,11 @@ fn product_size(lists: &[(usize, Arc<Vec<TupleSet>>)]) -> u128 {
     lists.iter().fold(1u128, |total, (_, choices)| total.saturating_mul(choices.len() as u128))
 }
 
-/// Ceiling on chunks per worker. More chunks give the atomic work index finer stealing
-/// granularity on skewed products (early exits make chunk costs uneven even when
-/// per-item cost is uniform), but each chunk pays one cursor setup; 16 bounds that
-/// overhead while still letting a worker that drew cheap chunks pull many more.
-const MAX_CHUNKS_PER_WORKER: u128 = 16;
-
-/// Target estimated work per chunk, in tuple-evaluations (the cost unit of
-/// [`EngineSnapshot`]'s selection-cost estimate). Products whose total estimated work is
-/// below `workers × TARGET_CHUNK_COST` get fewer, larger chunks — a tiny product is not
-/// worth 64 cursor setups — while heavy products saturate at the per-worker ceiling.
-const TARGET_CHUNK_COST: u128 = 4096;
-
-/// The number of chunks a repair product of `total` selections is split into, derived
-/// from the **memoised per-component preferred-repair counts**: `total` is their
-/// product and `cost_per_item` the estimated tuples per selection, so the division
-/// balances estimated work rather than blindly cutting index ranges four per worker.
-/// Clamped to `[workers, workers × MAX_CHUNKS_PER_WORKER]` (and never more than one
-/// chunk per selection).
+/// The number of chunks a repair product of `total` selections is split into at
+/// `parallelism`: [`pdqi_query::planner::adaptive_chunk_count`] at its worker count,
+/// the same split `EXPLAIN` previews as `chunks≈`.
 pub fn adaptive_chunk_count(total: u128, cost_per_item: u128, parallelism: Parallelism) -> u128 {
-    adaptive_chunk_count_with_target(total, cost_per_item, parallelism, TARGET_CHUNK_COST)
-}
-
-/// [`adaptive_chunk_count`] with an explicit per-chunk work target (the knob a
-/// [`ChunkTuner`] moves from measured chunk wall-clocks).
-fn adaptive_chunk_count_with_target(
-    total: u128,
-    cost_per_item: u128,
-    parallelism: Parallelism,
-    target: u128,
-) -> u128 {
-    let workers = parallelism.thread_count() as u128;
-    let work = total.saturating_mul(cost_per_item.max(1));
-    let ideal = work / target.max(1);
-    ideal.clamp(workers, workers.saturating_mul(MAX_CHUNKS_PER_WORKER)).min(total).max(1)
-}
-
-/// Wall-clock a chunk should take. The static [`TARGET_CHUNK_COST`] assumes one
-/// tuple-evaluation costs roughly the same everywhere; measured chunk timings replace
-/// that guess with the session's real cost, converging the chunk *duration* (the thing
-/// scheduling actually cares about) to this target instead.
-const TARGET_CHUNK_NANOS: u128 = 500_000;
-
-/// Clamps on the tuned per-chunk work target: never below one cursor-setup's worth of
-/// work, never so high that a heavy product degenerates to one chunk per worker.
-const MIN_TARGET_CHUNK_COST: u64 = 64;
-const MAX_TARGET_CHUNK_COST: u64 = 1 << 24;
-
-/// Cap on per-query calibration cells a [`ChunkTuner`] retains. Past the cap a new
-/// fingerprint still updates the aggregate counters but reads the static default — a
-/// bounded footprint beats perfect calibration for the cache-busting tail.
-const TUNER_QUERY_LIMIT: usize = 1024;
-
-/// A [`ChunkTuner`]'s counters at one instant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChunkTunerStats {
-    /// The aggregate per-chunk work target over every recorded chunk, in estimated
-    /// tuple-evaluations (observability; chunk sizing reads the per-query targets).
-    pub target_chunk_cost: u64,
-    /// Fully-evaluated chunks whose wall-clock fed a target so far.
-    pub samples: u64,
-}
-
-/// One EWMA calibration cell: a target and the number of samples that moved it.
-#[derive(Debug)]
-struct TunerCell {
-    /// Current target, in estimated tuple-evaluations per chunk.
-    target: AtomicU64,
-    /// Number of recorded chunk timings.
-    samples: AtomicU64,
-}
-
-impl TunerCell {
-    fn new() -> Self {
-        TunerCell { target: AtomicU64::new(TARGET_CHUNK_COST as u64), samples: AtomicU64::new(0) }
-    }
-
-    /// Records one fully-evaluated chunk: `work` estimated tuple-evaluations took
-    /// `elapsed_nanos` of wall-clock. Moves the target an eighth of the way towards the
-    /// work volume that would have taken `TARGET_CHUNK_NANOS`.
-    fn record(&self, work: u128, elapsed_nanos: u128) {
-        let ideal = work.saturating_mul(TARGET_CHUNK_NANOS) / elapsed_nanos.max(1);
-        let ideal = ideal.clamp(MIN_TARGET_CHUNK_COST as u128, MAX_TARGET_CHUNK_COST as u128);
-        let current = self.target.load(Ordering::Relaxed) as u128;
-        let moved = (current * 7 + ideal) / 8;
-        self.target.store(
-            (moved as u64).clamp(MIN_TARGET_CHUNK_COST, MAX_TARGET_CHUNK_COST),
-            Ordering::Relaxed,
-        );
-        self.samples.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// Feedback from measured per-chunk wall-clock into the next execution's chunk sizing.
-///
-/// [`adaptive_chunk_count`] converts a repair product into chunks using a *static*
-/// work-per-chunk target (`TARGET_CHUNK_COST`, 4096 tuple-evaluations). That guess is off
-/// whenever the per-tuple evaluation cost differs from the assumed one — complex
-/// formulas, wide tuples, cold caches. A `ChunkTuner` closes the loop for long-lived
-/// sessions: every fully-evaluated chunk records its estimated work and measured
-/// wall-clock, and an exponentially-weighted average moves the target so chunks
-/// converge towards `TARGET_CHUNK_NANOS` (0.5 ms) of real time each. Early-exited chunks
-/// (certain-empty cut-offs, undetermined closes) are not recorded — their timings
-/// reflect the exit, not the work.
-///
-/// Calibration is **per prepared-query fingerprint**: every query reads and feeds its
-/// own EWMA cell, so one pathological query (huge formula, cold columnar views) cannot
-/// distort chunking for every other prepared query sharing the server's tuner. A
-/// fingerprint without samples starts from the static default, and an aggregate cell
-/// feeds [`ChunkTuner::stats`] for observability.
-///
-/// Tuning only changes how the product is *split*; every execution stays bit-identical
-/// to the sequential path regardless of the chunk count. Share one tuner per session
-/// (or per [`crate::BatchExecutor`]) — it is internally synchronised and updates are
-/// deliberately racy-but-monotonic (a lost update costs one sample, never correctness).
-#[derive(Debug)]
-pub struct ChunkTuner {
-    /// The aggregate cell: every recorded chunk moves it, regardless of fingerprint.
-    aggregate: TunerCell,
-    /// Per-fingerprint calibration cells, bounded by [`TUNER_QUERY_LIMIT`].
-    per_query: std::sync::RwLock<std::collections::HashMap<u64, Arc<TunerCell>>>,
-}
-
-impl Default for ChunkTuner {
-    fn default() -> Self {
-        ChunkTuner::new()
-    }
-}
-
-impl ChunkTuner {
-    /// A tuner starting from the static `TARGET_CHUNK_COST` guess.
-    pub fn new() -> Self {
-        ChunkTuner {
-            aggregate: TunerCell::new(),
-            per_query: std::sync::RwLock::new(std::collections::HashMap::new()),
-        }
-    }
-
-    /// A shared tuner, ready to hand to a session or executor.
-    pub fn shared() -> Arc<Self> {
-        Arc::new(ChunkTuner::new())
-    }
-
-    /// The aggregate per-chunk work target, in estimated tuple-evaluations. Chunk
-    /// sizing reads [`ChunkTuner::target_chunk_cost_for`] instead; this is the
-    /// observability view over every recorded chunk.
-    pub fn target_chunk_cost(&self) -> u128 {
-        self.aggregate.target.load(Ordering::Relaxed) as u128
-    }
-
-    /// The calibrated per-chunk work target for one query fingerprint: its own cell
-    /// when that query's chunks have been measured before, the static default
-    /// otherwise — never another query's measurements.
-    pub fn target_chunk_cost_for(&self, fingerprint: u64) -> u128 {
-        let cells = self.per_query.read().expect("tuner lock");
-        match cells.get(&fingerprint) {
-            Some(cell) if cell.samples.load(Ordering::Relaxed) > 0 => {
-                cell.target.load(Ordering::Relaxed) as u128
-            }
-            _ => TARGET_CHUNK_COST,
-        }
-    }
-
-    /// The aggregate counters at one instant.
-    pub fn stats(&self) -> ChunkTunerStats {
-        ChunkTunerStats {
-            target_chunk_cost: self.aggregate.target.load(Ordering::Relaxed),
-            samples: self.aggregate.samples.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Records one fully-evaluated chunk of the given query: `work` estimated
-    /// tuple-evaluations took `elapsed_nanos` of wall-clock. Feeds the query's own
-    /// cell (created on first sample, up to [`TUNER_QUERY_LIMIT`] queries) and the
-    /// aggregate.
-    fn record_for(&self, fingerprint: u64, work: u128, elapsed_nanos: u128) {
-        if work == 0 {
-            return;
-        }
-        let cell = {
-            let cells = self.per_query.read().expect("tuner lock");
-            cells.get(&fingerprint).cloned()
-        };
-        let cell = match cell {
-            Some(cell) => Some(cell),
-            None => {
-                let mut cells = self.per_query.write().expect("tuner lock");
-                if cells.len() < TUNER_QUERY_LIMIT || cells.contains_key(&fingerprint) {
-                    Some(Arc::clone(
-                        cells.entry(fingerprint).or_insert_with(|| Arc::new(TunerCell::new())),
-                    ))
-                } else {
-                    None
-                }
-            }
-        };
-        if let Some(cell) = cell {
-            cell.record(work, elapsed_nanos);
-        }
-        self.aggregate.record(work, elapsed_nanos);
-    }
+    pdqi_query::planner::adaptive_chunk_count(total, cost_per_item, parallelism.thread_count())
 }
 
 /// Hard ceiling on the ranges [`chunk_ranges`] materialises. One entry per chunk is
@@ -1195,10 +750,10 @@ pub fn chunk_ranges(total: u128, chunks: u128) -> Vec<(u128, u128)> {
 }
 
 /// An odometer over the cartesian product of per-component preferred repairs, visiting
-/// selections in the exact order of the sequential recursion (the last list varies
-/// fastest — row-major). `advance` touches only the components whose digit changed, so
-/// stepping is cheap even with many components.
-struct SelectionCursor<'a> {
+/// selections in enumeration order: relations as given, components in component-id
+/// order, the last list varying fastest (row-major). `advance` touches only the
+/// components whose digit changed, so stepping is cheap even with many components.
+pub(crate) struct SelectionCursor<'a> {
     lists: &'a [(usize, Arc<Vec<TupleSet>>)],
     digits: Vec<usize>,
     current: Vec<TupleSet>,
@@ -1206,7 +761,7 @@ struct SelectionCursor<'a> {
 
 impl<'a> SelectionCursor<'a> {
     /// A cursor positioned on the `start`-th selection (row-major index).
-    fn new(
+    pub(crate) fn new(
         snapshot: &EngineSnapshot,
         lists: &'a [(usize, Arc<Vec<TupleSet>>)],
         start: u128,
@@ -1230,21 +785,45 @@ impl<'a> SelectionCursor<'a> {
         &self.current
     }
 
-    /// Steps to the next selection in enumeration order (wraps at the end). Distinct
-    /// components are vertex-disjoint, so swapping one component's choice in and out
-    /// never disturbs the others.
-    fn advance(&mut self) {
+    /// Steps to the next selection in enumeration order. Returns `false` when it wrapped
+    /// past the last selection back to the first. Distinct components are
+    /// vertex-disjoint, so swapping one component's choice in and out never disturbs
+    /// the others.
+    fn advance(&mut self) -> bool {
         for index in (0..self.lists.len()).rev() {
             let (rel, choices) = &self.lists[index];
             self.current[*rel].remove_all(&choices[self.digits[index]]);
             if self.digits[index] + 1 < choices.len() {
                 self.digits[index] += 1;
                 self.current[*rel].union_with(&choices[self.digits[index]]);
-                return;
+                return true;
             }
             self.digits[index] = 0;
             self.current[*rel].union_with(&choices[0]);
         }
+        false
+    }
+
+    /// Visits `len` selections from the current one on (`None`: every selection up to
+    /// the last), until `visit` breaks or `stop` turns true. Returns whether `visit`
+    /// broke.
+    pub(crate) fn walk(
+        &mut self,
+        len: Option<u128>,
+        stop: impl Fn() -> bool,
+        mut visit: impl FnMut(&[TupleSet]) -> ControlFlow<()>,
+    ) -> bool {
+        let mut left = len;
+        while left != Some(0) && !stop() {
+            if visit(self.selection()).is_break() {
+                return true;
+            }
+            left = left.map(|n| n - 1);
+            if left != Some(0) && !self.advance() {
+                break;
+            }
+        }
+        false
     }
 }
 
@@ -1610,122 +1189,12 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_chunk_counts_scale_with_estimated_work() {
-        let four = crate::Parallelism::threads(4);
-        // Tiny products collapse to one chunk per selection.
-        assert_eq!(adaptive_chunk_count(3, 10, four), 3);
-        // Small-but-parallel products stay at one chunk per worker.
-        assert_eq!(adaptive_chunk_count(64, 1, four), 4);
-        // Heavier work grows the chunk count between the clamps...
-        let mid = adaptive_chunk_count(4096, 12, four);
-        assert!(mid > 4 && mid < 64, "mid-size product got {mid} chunks");
-        // ...and heavy products saturate at MAX_CHUNKS_PER_WORKER per worker.
-        assert_eq!(adaptive_chunk_count(1 << 80, 100, four), 64);
-        // Saturated work products do not overflow.
-        assert_eq!(adaptive_chunk_count(u128::MAX - 1, u128::MAX, four), 64);
-    }
-
-    #[test]
-    fn chunk_tuner_moves_the_target_with_measured_costs() {
-        let tuner = ChunkTuner::new();
-        let fp = 0xfeed;
-        assert_eq!(tuner.stats(), ChunkTunerStats { target_chunk_cost: 4096, samples: 0 });
-        assert_eq!(tuner.target_chunk_cost_for(fp), 4096);
-        // Chunks that finish far faster than the wall-clock target pull the target up...
-        for _ in 0..64 {
-            tuner.record_for(fp, 4096, 1_000); // 4096 evals in 1µs — dirt cheap
-        }
-        let fast = tuner.stats();
-        assert!(fast.target_chunk_cost > 4096, "cheap chunks must grow, got {fast:?}");
-        assert_eq!(fast.samples, 64);
-        assert!(tuner.target_chunk_cost_for(fp) > 4096);
-        // ...and chunks that blow through it pull the target down, within the clamps.
-        for _ in 0..128 {
-            tuner.record_for(fp, 4096, 4_000_000_000); // 4096 evals in 4s — very expensive
-        }
-        let slow = tuner.stats();
-        assert!(slow.target_chunk_cost < fast.target_chunk_cost, "{slow:?}");
-        assert!(slow.target_chunk_cost >= MIN_TARGET_CHUNK_COST);
-        // Degenerate samples never move the target or the counter.
-        let before = tuner.stats();
-        tuner.record_for(fp, 0, 12345);
-        assert_eq!(tuner.stats(), before);
-    }
-
-    #[test]
-    fn chunk_tuner_calibration_is_per_fingerprint() {
-        // The historical bug: one pathological query dragged the process-global EWMA
-        // down for every prepared query sharing the tuner. Calibration cells are now
-        // keyed by fingerprint, so a distorted query leaves its neighbours on their
-        // own (or the default) target.
-        let tuner = ChunkTuner::new();
-        let (pathological, innocent) = (0xbad, 0x600d);
-        for _ in 0..128 {
-            tuner.record_for(pathological, 4096, 4_000_000_000);
-        }
-        assert!(tuner.target_chunk_cost_for(pathological) < 4096);
-        assert_eq!(
-            tuner.target_chunk_cost_for(innocent),
-            4096,
-            "an unsampled query must read the static default, not its neighbour's EWMA"
-        );
-        for _ in 0..64 {
-            tuner.record_for(innocent, 4096, 1_000);
-        }
-        assert!(tuner.target_chunk_cost_for(innocent) > 4096);
-        assert!(tuner.target_chunk_cost_for(pathological) < 4096, "still isolated");
-    }
-
-    #[test]
-    fn tuned_executions_feed_the_tuner_and_stay_bit_identical() {
-        let ctx = example4(9);
-        let snapshot = snapshot_of(&ctx);
-        let tuner = ChunkTuner::new();
-        let query = PreparedQuery::parse("EXISTS y . R(x,y)").unwrap();
-        let tuned: Vec<_> = query
-            .execute_tuned(
-                &snapshot.with_cleared_memo(),
-                FamilyKind::Rep,
-                Semantics::Possible,
-                crate::Parallelism::threads(2),
-                &tuner,
-            )
-            .unwrap()
-            .collect();
-        let sequential: Vec<_> = query
-            .execute(&snapshot.with_cleared_memo(), FamilyKind::Rep, Semantics::Possible)
-            .unwrap()
-            .collect();
-        assert_eq!(tuned, sequential);
-        let stats = tuner.stats();
-        assert!(stats.samples > 0, "fully-evaluated chunks must be recorded: {stats:?}");
-        assert_ne!(stats.target_chunk_cost, 4096, "measured costs must move the target");
-        // Closed executions feed the same loop.
-        let closed = PreparedQuery::parse("EXISTS x,y . R(x,y) AND x > 100").unwrap();
-        let before = tuner.stats().samples;
-        let outcome = closed
-            .consistent_answer_tuned(
-                &snapshot.with_cleared_memo(),
-                FamilyKind::Rep,
-                crate::Parallelism::threads(2),
-                &tuner,
-            )
-            .unwrap();
-        assert!(outcome.certainly_false);
-        assert!(tuner.stats().samples > before);
-    }
-
-    #[test]
-    fn single_request_batches_use_the_pool_and_the_shared_tuner() {
+    fn single_request_batches_split_across_the_pool_bit_identically() {
         use crate::{BatchExecutor, BatchRequest, Parallelism};
         let ctx = example4(9);
         let snapshot = snapshot_of(&ctx);
-        let tuner = ChunkTuner::shared();
-        let executor = BatchExecutor::with_tuner(
-            snapshot.with_cleared_memo(),
-            Parallelism::threads(2),
-            Arc::clone(&tuner),
-        );
+        let executor =
+            BatchExecutor::with_parallelism(snapshot.with_cleared_memo(), Parallelism::threads(2));
         let query = Arc::new(PreparedQuery::parse("EXISTS y . R(x,y)").unwrap());
         let request =
             BatchRequest::execute(Arc::clone(&query), FamilyKind::Rep, Semantics::Possible);
@@ -1737,8 +1206,6 @@ mod tests {
             .unwrap()
             .collect();
         assert_eq!(rows, direct);
-        assert!(tuner.stats().samples > 0, "single-request batches must chunk and record");
-        assert!(Arc::ptr_eq(executor.tuner(), &tuner));
     }
 
     #[test]

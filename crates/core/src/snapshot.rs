@@ -69,6 +69,7 @@ use crate::cqa::CqaOutcome;
 use crate::families::FamilyKind;
 use crate::optimality::{is_locally_optimal, is_semi_globally_optimal, preferred_over};
 use crate::parallel::Parallelism;
+use crate::prepared::SelectionCursor;
 use crate::repair::RepairContext;
 
 /// Errors raised while assembling a snapshot.
@@ -1041,23 +1042,6 @@ impl EngineSnapshot {
         self.inner.relations.iter().map(|entry| TupleSet::clone(&entry.base)).collect()
     }
 
-    /// Visits every preferred repair of the given family, assembled as the cartesian
-    /// product of memoised per-component preferred repairs over *all* relations. Each
-    /// visited slice holds one [`TupleSet`] per relation, index-aligned with
-    /// [`EngineSnapshot::entries`]. Returns `true` if the enumeration ran to completion.
-    pub(crate) fn for_each_preferred_selection(
-        &self,
-        kind: FamilyKind,
-        relations: &[usize],
-        callback: &mut dyn FnMut(&[TupleSet]) -> ControlFlow<()>,
-    ) -> bool {
-        let Some(lists) = self.selection_lists(kind, relations) else {
-            return true;
-        };
-        let mut current = self.base_selection();
-        self.combine_selections(&lists, 0, &mut current, callback).is_continue()
-    }
-
     /// Enumerates the preferred repairs of every *missing* `(component, family)` memo
     /// entry in parallel, returning the number of components actually computed.
     ///
@@ -1127,26 +1111,6 @@ impl EngineSnapshot {
         }
     }
 
-    fn combine_selections(
-        &self,
-        lists: &[(usize, Arc<Vec<TupleSet>>)],
-        index: usize,
-        current: &mut Vec<TupleSet>,
-        callback: &mut dyn FnMut(&[TupleSet]) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        if index == lists.len() {
-            return callback(current);
-        }
-        let (rel, choices) = &lists[index];
-        for choice in choices.iter() {
-            current[*rel].union_with(choice);
-            let flow = self.combine_selections(lists, index + 1, current, callback);
-            current[*rel].remove_all(choice);
-            flow?;
-        }
-        ControlFlow::Continue(())
-    }
-
     /// Visits every preferred repair of a single-relation snapshot; the callback may
     /// stop early. Returns `true` if the enumeration ran to completion.
     pub fn for_each_preferred(
@@ -1155,7 +1119,14 @@ impl EngineSnapshot {
         callback: &mut dyn FnMut(&TupleSet) -> ControlFlow<()>,
     ) -> bool {
         self.single();
-        self.for_each_preferred_selection(kind, &[0], &mut |selection| callback(&selection[0]))
+        let Some(lists) = self.selection_lists(kind, &[0]) else {
+            return true;
+        };
+        !SelectionCursor::new(self, &lists, 0).walk(
+            None,
+            || false,
+            |selection| callback(&selection[0]),
+        )
     }
 
     /// Up to `limit` preferred repairs of a single-relation snapshot.
@@ -1664,10 +1635,15 @@ mod tests {
             // Enumeration order (not just the set of repairs) must match.
             let enumerate = |snapshot: &EngineSnapshot| {
                 let mut seen = Vec::new();
-                snapshot.for_each_preferred_selection(FamilyKind::Rep, &[0, 1], &mut |sel| {
-                    seen.push(sel.to_vec());
-                    ControlFlow::Continue(())
-                });
+                let lists = snapshot.selection_lists(FamilyKind::Rep, &[0, 1]).unwrap();
+                SelectionCursor::new(snapshot, &lists, 0).walk(
+                    None,
+                    || false,
+                    |sel| {
+                        seen.push(sel.to_vec());
+                        ControlFlow::Continue(())
+                    },
+                );
                 seen
             };
             assert_eq!(enumerate(&parallel), enumerate(&sequential));

@@ -16,8 +16,8 @@
 //!
 //! The planner is **engine-agnostic**: callers (the core crate's prepared-query
 //! executor) supply [`PlannerInputs`] — relation row counts, per-component conflict
-//! sizes and memoised repair counts, worker count and the tuner-calibrated chunk-cost
-//! target — and get back a [`PhysicalPlan`]. Every physical choice is pinned
+//! sizes and memoised repair counts, and the worker count — and get back a
+//! [`PhysicalPlan`]. Every physical choice is pinned
 //! **bit-identical** to the naive fixed strategy: join order only permutes the
 //! vectorized join's atom slots (answers are collected into an order-insensitive sorted
 //! set), the eval-path choice switches between two already-pinned interpreters, chunking
@@ -151,8 +151,6 @@ pub struct PlannerInputs {
     pub derive_eligible: bool,
     /// Worker threads available to chunked execution.
     pub workers: usize,
-    /// The calibrated per-chunk work target (from the session's `ChunkTuner`).
-    pub target_chunk_cost: u64,
 }
 
 /// How one component's preferred-repair list will be obtained.
@@ -214,8 +212,31 @@ pub struct PhysicalPlan {
     pub est_total_cost: u128,
 }
 
-/// Ceiling on chunks per worker, mirroring the executor's adaptive chunking.
+/// Ceiling on chunks per worker. More chunks give the executor's atomic work index
+/// finer stealing granularity on skewed products (early exits make chunk costs uneven
+/// even when per-item cost is uniform), but each chunk pays one cursor setup; 16 bounds
+/// that overhead while still letting a worker that drew cheap chunks pull many more.
 const MAX_CHUNKS_PER_WORKER: u128 = 16;
+
+/// Target estimated work per chunk, in tuple-evaluations (the unit of
+/// [`PhysicalPlan::est_selection_cost`]). Products whose total estimated work is below
+/// `workers × TARGET_CHUNK_COST` get fewer, larger chunks — a tiny product is not worth
+/// 64 cursor setups — while heavy products saturate at the per-worker ceiling.
+const TARGET_CHUNK_COST: u128 = 4096;
+
+/// The number of chunks a repair product of `total` selections is split into across
+/// `workers` workers: the estimated work (`total` × `cost_per_item` tuple-evaluations)
+/// divided by a fixed per-chunk target, so the split balances estimated work rather
+/// than blindly cutting index ranges. Clamped to `[workers, workers × 16]`, and never
+/// more than one chunk per selection.
+///
+/// This is both the executor's split and the `chunks≈` estimate [`plan`] previews.
+pub fn adaptive_chunk_count(total: u128, cost_per_item: u128, workers: usize) -> u128 {
+    let workers = workers.max(1) as u128;
+    let work = total.saturating_mul(cost_per_item.max(1));
+    let ideal = work / TARGET_CHUNK_COST;
+    ideal.clamp(workers, workers.saturating_mul(MAX_CHUNKS_PER_WORKER)).min(total).max(1)
+}
 
 /// Join selectivity denominator: each equi-join binding or repeated variable is assumed
 /// to keep one in four candidate pairs. Crude, but deterministic and directionally
@@ -449,11 +470,7 @@ pub fn plan(formula: &Formula, inputs: &PlannerInputs) -> PhysicalPlan {
     let est_total_cost = est_product.saturating_mul(selection_cost.max(1));
 
     // --- chunking: the executor's adaptive split, previewed with the plan's cost ----
-    let workers = inputs.workers.max(1) as u128;
-    let work = est_product.saturating_mul(selection_cost.max(1));
-    let ideal = work / (inputs.target_chunk_cost.max(1) as u128);
-    let est_chunks =
-        ideal.clamp(workers, workers.saturating_mul(MAX_CHUNKS_PER_WORKER)).min(est_product.max(1));
+    let est_chunks = adaptive_chunk_count(est_product, selection_cost, inputs.workers);
     PLANNED.fetch_add(1, Ordering::Relaxed);
 
     PhysicalPlan {
@@ -536,14 +553,7 @@ mod tests {
     use crate::parser::parse_formula;
 
     fn inputs(relations: Vec<RelationStats>, components: Vec<ComponentStats>) -> PlannerInputs {
-        PlannerInputs {
-            relations,
-            components,
-            family: "G",
-            derive_eligible: true,
-            workers: 4,
-            target_chunk_cost: 4096,
-        }
+        PlannerInputs { relations, components, family: "G", derive_eligible: true, workers: 4 }
     }
 
     fn rel(name: &str, rows: usize) -> RelationStats {
@@ -608,6 +618,22 @@ mod tests {
         let physical = plan(&formula, &inputs(vec![rel("R", 64)], vec![]));
         assert_eq!(physical.atom_order, None);
         assert!(!physical.vectorized);
+    }
+
+    #[test]
+    fn adaptive_chunk_counts_scale_with_estimated_work() {
+        let four = 4;
+        // Tiny products collapse to one chunk per selection.
+        assert_eq!(adaptive_chunk_count(3, 10, four), 3);
+        // Small-but-parallel products stay at one chunk per worker.
+        assert_eq!(adaptive_chunk_count(64, 1, four), 4);
+        // Heavier work grows the chunk count between the clamps...
+        let mid = adaptive_chunk_count(4096, 12, four);
+        assert!(mid > 4 && mid < 64, "mid-size product got {mid} chunks");
+        // ...and heavy products saturate at MAX_CHUNKS_PER_WORKER per worker.
+        assert_eq!(adaptive_chunk_count(1 << 80, 100, four), 64);
+        // Saturated work products do not overflow.
+        assert_eq!(adaptive_chunk_count(u128::MAX - 1, u128::MAX, four), 64);
     }
 
     #[test]

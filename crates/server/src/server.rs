@@ -29,7 +29,7 @@ use std::time::Duration;
 
 use pdqi_constraints::FunctionalDependency;
 use pdqi_core::{
-    BatchExecutor, BatchRequest, BatchResponse, Change, ChunkTuner, Parallelism, PreparedQuery,
+    BatchExecutor, BatchRequest, BatchResponse, Change, Parallelism, PreparedQuery,
     SnapshotRegistry, SubscribeOptions, SubscriptionEvent, SubscriptionManager, WriteCoalescer,
     WriteFrame,
 };
@@ -67,9 +67,6 @@ pub struct ServerState {
     /// serves snapshots per table.
     prepared: PreparedMap<Arc<PreparedQuery>>,
     parallelism: Parallelism,
-    /// One chunk-cost feedback loop per server: measured per-chunk wall-clock from
-    /// single-query requests converges the chunk split for the whole process.
-    tuner: Arc<ChunkTuner>,
     /// The continuous-query manager, attached to `registry` as a swap observer:
     /// `SUBSCRIBE`d connections drain their bounded per-subscriber queues on idle
     /// polls and after every response.
@@ -111,7 +108,6 @@ pub fn serve(
         registry,
         prepared: PreparedMap::new(),
         parallelism: config.parallelism,
-        tuner: ChunkTuner::shared(),
         subscriptions,
         writes,
         alters_applied: AtomicU64::new(0),
@@ -496,13 +492,10 @@ impl ServerState {
             .read(table)
             .ok_or_else(|| format!("no snapshot published for table `{table}`"))?;
         // One pinned snapshot for the whole request: every answer below is bit-identical
-        // to PreparedQuery::execute / consistent_answer on this exact snapshot. The
-        // server-wide tuner feeds measured chunk costs across requests, so single-EXEC
-        // traffic converges its chunk split over the connection's lifetime.
-        let executor = BatchExecutor::with_tuner(
+        // to PreparedQuery::execute / consistent_answer on this exact snapshot.
+        let executor = BatchExecutor::with_parallelism(
             pdqi_core::EngineSnapshot::clone(lease.snapshot()),
             self.parallelism,
-            Arc::clone(&self.tuner),
         );
         // PROFILE specs bypass the executor: a profile walks the repair product in
         // deterministic order on the leased snapshot itself. Executor blocks are

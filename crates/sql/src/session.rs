@@ -35,9 +35,9 @@ use std::sync::Arc;
 
 use pdqi_constraints::{FdSet, FunctionalDependency};
 use pdqi_core::{
-    Change, ChunkTuner, EngineBuilder, EngineSnapshot, Mutation, Parallelism, PreparedQuery,
-    ReviseError, Semantics, SnapshotLease, SnapshotRegistry, SubscribeOptions, Subscribed,
-    SubscriptionEvent, SubscriptionInfo, SubscriptionManager, WindowStats,
+    Change, EngineBuilder, EngineSnapshot, Mutation, Parallelism, PreparedQuery, ReviseError,
+    Semantics, SnapshotLease, SnapshotRegistry, SubscribeOptions, Subscribed, SubscriptionEvent,
+    SubscriptionInfo, SubscriptionManager, WindowStats,
 };
 use pdqi_query::builder::{and_all, atom, exists, var};
 use pdqi_query::{Evaluator, Formula, Term};
@@ -190,9 +190,6 @@ pub struct Session {
     prepared: HashMap<String, PreparedSelect>,
     /// Worker threads used by repair-quantified `SELECT`s (sequential by default).
     parallelism: Parallelism,
-    /// Measured-chunk feedback for repair-quantified `SELECT`s: long-lived sessions
-    /// converge the parallel chunk split towards real per-chunk wall-clock.
-    tuner: Arc<ChunkTuner>,
     /// Continuous queries registered through [`Session::subscribe`]; created (and
     /// attached to the registry) on first use.
     subscriptions: Option<Arc<SubscriptionManager>>,
@@ -223,7 +220,6 @@ impl Session {
             published_gen: BTreeMap::new(),
             prepared: HashMap::new(),
             parallelism: Parallelism::default(),
-            tuner: ChunkTuner::shared(),
             subscriptions: None,
         }
     }
@@ -231,14 +227,6 @@ impl Session {
     /// The registry this session serves snapshots from.
     pub fn registry(&self) -> &Arc<SnapshotRegistry> {
         &self.registry
-    }
-
-    /// The chunk-cost feedback loop this session's repair-quantified `SELECT`s run
-    /// under: measured per-chunk wall-clock moves the target work per chunk, so
-    /// long-lived sessions split repair products by observed cost instead of the static
-    /// guess. Inspect it through [`ChunkTuner::stats`].
-    pub fn chunk_tuner(&self) -> &Arc<ChunkTuner> {
-        &self.tuner
     }
 
     /// Sets the degree of parallelism used by `SELECT … WITH REPAIRS` statements **and**
@@ -857,13 +845,7 @@ impl Session {
                 // free-variable order of the formula.
                 let snapshot = self.snapshot(&select.table)?;
                 let answers = query
-                    .execute_tuned(
-                        &snapshot,
-                        kind,
-                        Semantics::Certain,
-                        self.parallelism,
-                        &self.tuner,
-                    )
+                    .execute_with(&snapshot, kind, Semantics::Certain, self.parallelism)
                     .map_err(|e| SqlError::Query(e.to_string()))?;
                 let free = query.free_vars();
                 answers
@@ -1067,15 +1049,6 @@ mod tests {
         // The insert fell back to mark-stale; the next read rebuilds and re-publishes.
         let snapshot = writer.snapshot("Mgr").unwrap();
         assert_eq!(snapshot.context().instance().len(), 5);
-    }
-
-    #[test]
-    fn tuned_selects_feed_the_session_chunk_tuner() {
-        let mut session = session_with_example1();
-        session.set_parallelism(Parallelism::threads(2));
-        session.execute("SELECT Name FROM Mgr WITH REPAIRS ALL").unwrap();
-        // Example 1 is one 4-tuple component: 3 selections split across 2 workers.
-        assert!(session.chunk_tuner().stats().samples > 0);
     }
 
     #[test]

@@ -115,12 +115,12 @@ pub use pdqi_constraints::{ConflictGraph, FdSet, FunctionalDependency};
 pub use pdqi_core::{
     force_naive_plan, naive_plan_forced, plan_stats, AnswerDelta, AnswerSet, BatchExecutor,
     BatchRequest, BatchResponse, BuildError, Change, ChangeError, ChangeReport, ChangeScope,
-    ChunkTuner, ChunkTunerStats, CqaOutcome, EngineBuilder, EngineSnapshot, FamilyKind, MemoStats,
-    Mutation, Parallelism, PhysicalPlan, PlanStats, PreparedQuery, RegistryStats, RepairContext,
-    ReportStrategy, RouteSpec, Semantics, Shard, ShardPlan, SnapshotLease, SnapshotRegistry,
-    SubscribeOptions, SubscribeStats, Subscribed, SubscriptionEvent, SubscriptionInfo,
-    SubscriptionManager, TableStats, WindowStats, WriteCoalescer, WriteError, WriteFrame,
-    WriteOutcome, WriteStats, MAX_THREADS,
+    CqaOutcome, EngineBuilder, EngineSnapshot, FamilyKind, MemoStats, Mutation, Parallelism,
+    PhysicalPlan, PlanStats, PreparedQuery, RegistryStats, RepairContext, ReportStrategy,
+    RouteSpec, Semantics, Shard, ShardPlan, SnapshotLease, SnapshotRegistry, SubscribeOptions,
+    SubscribeStats, Subscribed, SubscriptionEvent, SubscriptionInfo, SubscriptionManager,
+    TableStats, WindowStats, WriteCoalescer, WriteError, WriteFrame, WriteOutcome, WriteStats,
+    MAX_THREADS,
 };
 pub use pdqi_priority::Priority;
 pub use pdqi_query::{parse_formula, Evaluator, Formula};
