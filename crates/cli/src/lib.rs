@@ -509,23 +509,15 @@ impl Interpreter {
     }
 
     fn stats(&self) -> String {
-        let schema = self.session.schema_delta_stats();
         let eval = pdqi_query::eval_path_stats();
         let plans = pdqi_core::plan_stats();
         let windows = self.session.window_stats();
         format!(
-            "schema deltas: fd delta={} rebuild={}\n\
-             preference deltas: swaps={} coalesced={} rebuild={}\n\
-             eval paths: vectorized={} scalar={}\n\
+            "eval paths: vectorized={} scalar={}\n\
              planner: planned={} cache hits={} naive={}\n\
              planner choices: join reorders={} scalar picks={} derived components={}\n\
              report strategies: coalesced={} windowed={} folded swaps={} flushes={} \
              expiry deltas={} pending dropped={}",
-            schema.fds_delta,
-            schema.fds_rebuild,
-            schema.prefers_delta,
-            schema.prefers_coalesced,
-            schema.prefers_rebuild,
             eval.vectorized,
             eval.scalar,
             plans.planned,
@@ -598,7 +590,7 @@ meta commands:
                                             push queue
   .subscriptions                            list continuous queries
   .unsubscribe <id>                         drop a continuous query
-  .stats                                    schema-delta, eval-path and planner accounting";
+  .stats                                    eval-path, planner and report-strategy accounting";
 
 /// Renders one queued continuous-query event for the interactive surface.
 fn render_subscription_event(id: u64, event: &SubscriptionEvent) -> String {
@@ -975,19 +967,17 @@ mod tests {
     }
 
     #[test]
-    fn stats_reports_schema_delta_accounting() {
+    fn stats_reports_eval_path_accounting() {
         let mut interpreter = loaded();
         // Publish, then ALTER: the new FD lands as a snapshot derivation.
         interpreter.run_line(".count Mgr").unwrap();
         interpreter.run_line("ALTER TABLE Mgr ADD FD Salary -> Reports").unwrap();
-        let stats = interpreter.run_line(".stats").unwrap();
-        assert!(stats.contains("fd delta=1"), "{stats}");
+        interpreter.run_line(".stats").unwrap();
         // Two PREFERs stay queued until the next read, then coalesce into one swap.
         interpreter.run_line("PREFER ('Mary','R&D',40,3) OVER ('Mary','IT',20,1) IN Mgr").unwrap();
         interpreter.run_line("PREFER ('John','R&D',10,2) OVER ('John','PR',30,4) IN Mgr").unwrap();
         interpreter.run_line(".count Mgr").unwrap();
         let stats = interpreter.run_line(".stats").unwrap();
-        assert!(stats.contains("preference deltas: swaps=1 coalesced=2 rebuild=0"), "{stats}");
         assert!(stats.contains("eval paths:"), "{stats}");
     }
 

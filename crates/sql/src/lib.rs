@@ -18,6 +18,10 @@
 //! repairs of the chosen family (`ALL`, `LOCAL`, `SEMIGLOBAL`, `GLOBAL`, `COMMON`) under
 //! the priorities accumulated through `PREFER` statements; a plain `SELECT` evaluates the
 //! query directly over the stored (possibly inconsistent) table.
+//!
+//! A [`Session`] keeps a table only as a draft until its first read publishes it into a
+//! `pdqi-core` snapshot registry; from then on the registry is the table's only store,
+//! and each statement revises the snapshot it serves (see the [`session`] module).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -26,4 +30,4 @@ pub mod parser;
 pub mod session;
 
 pub use parser::{parse_statement, ColumnType, Condition, SelectStatement, Statement};
-pub use session::{QueryResult, SchemaDeltaStats, Session, SqlError, StatementOutcome};
+pub use session::{QueryResult, Session, SqlError, StatementOutcome};

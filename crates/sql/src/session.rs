@@ -1,47 +1,45 @@
 //! Catalog and statement execution.
 //!
-//! [`Session`] is a thin view over a shared serving core: it owns the table *catalog*
-//! (schemas, rows, FDs, preferences) but the snapshots themselves live in a
-//! [`SnapshotRegistry`] — one atomically-swappable [`Arc<EngineSnapshot>`] per table.
+//! [`Session`] is a thin view over a [`SnapshotRegistry`]: the registry serves one
+//! atomically-swappable [`Arc<EngineSnapshot>`] per table and is the only store of a
+//! published table. A table this session creates is a *draft* (its rows, FDs and queued
+//! preferences, held by the session) until its first read — any `SELECT`, `EXPLAIN`,
+//! subscription or [`Session::snapshot`] — which builds and publishes it once, so loading
+//! a script costs a single build. From then on:
+//!
+//! * `INSERT`, `DELETE` and `ALTER TABLE … ADD FD` each commit one [`Change`] through
+//!   [`SnapshotRegistry::commit`] on top of whatever the registry serves, so they compose
+//!   with every other writer of the table. Only the conflict components a change touches
+//!   are re-partitioned and re-enumerated; everything else, the memo included, carries
+//!   over.
+//! * `PREFER` statements queue and install at the next read as **one** priority change:
+//!   the served priority plus the queued pairs. An install that fails (a cyclic or
+//!   non-conflicting preference) reports its error at that read and discards the queue;
+//!   the table stays readable.
+//! * every read answers from the served snapshot: a plain `SELECT` through its columnar
+//!   view, `SELECT … WITH REPAIRS` through its memoised prepared-query pipeline.
+//!
 //! Several sessions constructed with [`Session::with_registry`] serve **one snapshot
-//! set**: a table published by any of them is readable by all, and a revision swapped
-//! into the registry (for example by the `pdqi-server` front end) is what every later
-//! `SELECT … WITH REPAIRS` answers against.
+//! set**: a table published by any of them, or by a `pdqi-server` front end over the same
+//! registry, is readable and writable by all.
 //!
-//! Two cache layers keep repeated statements cheap, both flowing through the
-//! `pdqi-core` prepared-query pipeline:
-//!
-//! * the registry's per-table snapshot, built on first use. `INSERT`, `DELETE`,
-//!   `ALTER TABLE … ADD FD` and `PREFER` publish **delta-derived** replacements by
-//!   committing a [`Change`] through [`SnapshotRegistry::commit`] — only the conflict
-//!   components the change touches are re-partitioned and re-enumerated, everything
-//!   else (including the memo) carries over. `PREFER` statements **coalesce**:
-//!   consecutive preferences on one table batch into a single priority change + swap
-//!   at the next read, mirroring how `MUTATE` batches rows. Every commit is a registry
-//!   compare-and-swap on the generation this session last wrote, falling back to a
-//!   rebuild only when another writer got between this session and the registry (see
-//!   [`Session::schema_delta_stats`] for the accounting). Repeated `SELECT`s against
-//!   an unchanged table share the snapshot's component and answer memos, across every
-//!   session on the registry;
-//! * a per-statement-text [`PreparedQuery`], so re-executing the same `SELECT` skips
-//!   SQL-to-formula planning entirely. Prepared statements survive table mutations and
-//!   FD additions — they depend only on the relation's column shape, which the current
-//!   SQL surface never alters (FDs constrain rows, they do not reshape them).
+//! Each distinct `SELECT` text is planned once into a cached [`PreparedQuery`], which
+//! survives mutations and FD additions: a plan depends only on the table's column shape,
+//! which no statement alters.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::convert::Infallible;
 use std::fmt;
 use std::sync::Arc;
 
 use pdqi_constraints::{FdSet, FunctionalDependency};
 use pdqi_core::{
-    Change, EngineBuilder, EngineSnapshot, Mutation, Parallelism, PreparedQuery, ReviseError,
-    Semantics, SnapshotLease, SnapshotRegistry, SubscribeOptions, Subscribed, SubscriptionEvent,
-    SubscriptionInfo, SubscriptionManager, WindowStats,
+    Change, ChangeReport, EngineBuilder, EngineSnapshot, Mutation, Parallelism, PreparedQuery,
+    RepairContext, ReviseError, Semantics, SnapshotLease, SnapshotRegistry, SubscribeOptions,
+    Subscribed, SubscriptionEvent, SubscriptionInfo, SubscriptionManager, WindowStats,
 };
 use pdqi_query::builder::{and_all, atom, exists, var};
 use pdqi_query::{Evaluator, Formula, Term};
-use pdqi_relation::{RelationInstance, RelationSchema, Value, ValueType};
+use pdqi_relation::{RelationInstance, RelationSchema, Tuple, TupleId, Value, ValueType};
 
 use crate::parser::{
     parse_statement, ColumnType, ConditionRhs, SelectStatement, SqlParseError, Statement,
@@ -121,13 +119,15 @@ pub enum StatementOutcome {
     Plan(String),
 }
 
-#[derive(Debug, Clone)]
-struct Table {
-    schema: Arc<RelationSchema>,
-    rows: Vec<Vec<Value>>,
-    fds: Vec<String>,
-    preferences: Vec<(Vec<Value>, Vec<Value>)>,
+/// A table from `CREATE TABLE` until its first read publishes it.
+#[derive(Debug)]
+struct Draft {
+    instance: RelationInstance,
+    fds: FdSet,
 }
+
+/// A queued `PREFER`: the winner's values, then the loser's.
+type Preference = (Vec<Value>, Vec<Value>);
 
 /// Cap on cached `SELECT` plans per session (cleared wholesale when exceeded).
 const PREPARED_CACHE_LIMIT: usize = 1024;
@@ -139,53 +139,18 @@ struct PreparedSelect {
     query: Arc<PreparedQuery>,
 }
 
-/// Schema/constraint delta accounting for one session: how many `ALTER TABLE … ADD FD`
-/// and `PREFER` statements were applied as registry **deltas** (a derived snapshot
-/// compare-and-swapped into the slot) versus falling back to full rebuilds, and how
-/// effectively consecutive `PREFER`s coalesced into shared swaps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SchemaDeltaStats {
-    /// `ALTER TABLE … ADD FD` statements applied as a [`Change::AddFd`] commit.
-    pub fds_delta: u64,
-    /// `ALTER TABLE … ADD FD` statements that fell back to the mark-stale/rebuild path.
-    pub fds_rebuild: u64,
-    /// Coalesced `PREFER` flushes applied as priority-revalidation derivations — one
-    /// swap per table per read boundary, however many statements were batched into it.
-    pub prefers_delta: u64,
-    /// `PREFER` statements whose installation fell back to the rebuild path.
-    pub prefers_rebuild: u64,
-    /// `PREFER` statements absorbed into delta flushes. Always `≥ prefers_delta`; the
-    /// gap is statements that shared a swap with an earlier queued preference.
-    pub prefers_coalesced: u64,
-}
-
-/// An interactive session: a catalog of tables, their constraints, their data and the
-/// preferences accumulated so far, serving snapshots out of a (possibly shared)
-/// [`SnapshotRegistry`] as described in the [module docs](self).
+/// An interactive session: the tables it created, serving snapshots out of a (possibly
+/// shared) [`SnapshotRegistry`] as described in the [module docs](self).
 #[derive(Debug)]
 pub struct Session {
-    tables: BTreeMap<String, Table>,
+    /// The tables this session created: `Some` while a draft, `None` once published.
+    tables: BTreeMap<String, Option<Draft>>,
     /// The serving core: per-table snapshots, shared with every other session (and
     /// server) constructed over the same registry.
     registry: Arc<SnapshotRegistry>,
-    /// Tables whose published snapshot no longer reflects this session's catalog; the
-    /// next snapshot read rebuilds and re-publishes through the registry. Every
-    /// catalog-changing statement avoids this path when the registry still serves the
-    /// snapshot this session last wrote: `INSERT`/`DELETE` apply **as mutation
-    /// deltas** (see [`SnapshotRegistry::commit`]), `ALTER TABLE … ADD FD` as a
-    /// schema delta, and queued `PREFER`s as one coalesced priority derivation.
-    stale: BTreeSet<String>,
-    /// Per-table count of `PREFER` statements recorded in the catalog but not yet
-    /// installed into the served snapshot; they flush as **one** coalesced
-    /// priority-change swap right before the next snapshot read.
-    pending_prefers: BTreeMap<String, u64>,
-    /// Delta-vs-rebuild accounting for `ALTER`/`PREFER` (see [`SchemaDeltaStats`]).
-    schema_stats: SchemaDeltaStats,
-    /// The registry generation of this session's last write per table. A delta only
-    /// applies when the current generation still matches — another writer having
-    /// swapped the slot since means the served snapshot no longer corresponds to this
-    /// session's rows, so the mutation falls back to the rebuild path.
-    published_gen: BTreeMap<String, u64>,
+    /// Per-table `PREFER`s not yet installed; the next read of the table installs them
+    /// as one priority change.
+    pending_prefers: BTreeMap<String, Vec<Preference>>,
     /// Per-statement-text prepared `SELECT`s.
     prepared: HashMap<String, PreparedSelect>,
     /// Worker threads used by repair-quantified `SELECT`s (sequential by default).
@@ -214,10 +179,7 @@ impl Session {
         Session {
             tables: BTreeMap::new(),
             registry,
-            stale: BTreeSet::new(),
             pending_prefers: BTreeMap::new(),
-            schema_stats: SchemaDeltaStats::default(),
-            published_gen: BTreeMap::new(),
             prepared: HashMap::new(),
             parallelism: Parallelism::default(),
             subscriptions: None,
@@ -260,14 +222,11 @@ impl Session {
         self.run(statement)
     }
 
-    /// Executes a sequence of `;`-separated statements, returning the outcome of each.
+    /// Executes a script of `;`-separated statements, returning the outcome of each. A
+    /// `;` inside a quoted literal does not end a statement, and `--` starts a comment
+    /// that runs to the end of its line.
     pub fn execute_script(&mut self, script: &str) -> Result<Vec<StatementOutcome>, SqlError> {
-        script
-            .split(';')
-            .map(str::trim)
-            .filter(|s| !s.is_empty() && !s.starts_with("--"))
-            .map(|statement| self.execute(statement))
-            .collect()
+        split_script(script).iter().map(|statement| self.execute(statement)).collect()
     }
 
     fn run(&mut self, statement: Statement) -> Result<StatementOutcome, SqlError> {
@@ -288,94 +247,89 @@ impl Session {
                         )
                     })
                     .collect();
-                let schema = RelationSchema::from_pairs(&name, &defs)
-                    .map_err(|e| SqlError::Schema(e.to_string()))?;
-                // Mark the new table stale: a shared registry may already serve a
-                // same-named snapshot published by a sibling session, which must not
-                // shadow the (empty) table this session just defined.
-                self.stale.insert(name.clone());
+                let schema =
+                    Arc::new(RelationSchema::from_pairs(&name, &defs).map_err(schema_error)?);
+                // The draft shadows a same-named table a sibling session published, and
+                // replaces it at its first read.
                 self.pending_prefers.remove(&name);
-                self.tables.insert(
-                    name,
-                    Table {
-                        schema: Arc::new(schema),
-                        rows: Vec::new(),
-                        fds: Vec::new(),
-                        preferences: Vec::new(),
-                    },
-                );
+                let draft = Draft {
+                    instance: RelationInstance::new(Arc::clone(&schema)),
+                    fds: FdSet::new(schema),
+                };
+                self.tables.insert(name, Some(draft));
                 Ok(StatementOutcome::Created)
             }
             Statement::AddFd { table, fd } => {
-                let entry = self.table_mut(&table)?;
-                // Validate the FD against the schema before recording it.
-                let parsed = FunctionalDependency::parse(&entry.schema, &fd)
-                    .map_err(|e| SqlError::Schema(e.to_string()))?;
-                entry.fds.push(fd);
-                self.add_fd_or_mark_stale(&table, parsed);
+                let parse = |schema: &RelationSchema| {
+                    FunctionalDependency::parse(schema, &fd).map_err(schema_error)
+                };
+                match self.draft_mut(&table) {
+                    Some(draft) => draft.fds.push(parse(draft.fds.schema())?),
+                    None => {
+                        self.commit(&table, |base| {
+                            let fd = parse(context(base, &table)?.instance().schema())?;
+                            Ok(Change::AddFd { relation: table.clone(), fd })
+                        })?;
+                    }
+                }
                 Ok(StatementOutcome::FdAdded)
             }
             Statement::Insert { table, rows } => {
-                let entry = self.table_mut(&table)?;
                 let count = rows.len();
-                for row in &rows {
-                    entry.schema.tuple(row.clone()).map_err(|e| SqlError::Schema(e.to_string()))?;
+                match self.draft_mut(&table) {
+                    Some(draft) => {
+                        for tuple in tuples(draft.instance.schema(), &rows)? {
+                            draft.instance.insert_tuple(tuple);
+                        }
+                    }
+                    None => {
+                        let mutation = Mutation::new().insert_rows(&table, rows);
+                        self.commit(&table, |_| Ok(Change::Mutation(mutation)))?;
+                    }
                 }
-                entry.rows.extend(rows.clone());
-                self.apply_or_mark_stale(&table, Mutation::new().insert_rows(&table, rows));
                 Ok(StatementOutcome::Inserted(count))
             }
             Statement::Delete { table, rows } => {
-                let entry = self.table_mut(&table)?;
-                // Validate and de-duplicate the targets once; tuple validation
-                // normalises nothing beyond type checks, so stored rows (validated at
-                // INSERT) compare against target values directly — the catalog is
-                // walked exactly once, with no per-row conversion.
-                let mut targets: Vec<Vec<Value>> = Vec::new();
-                for row in &rows {
-                    entry.schema.tuple(row.clone()).map_err(|e| SqlError::Schema(e.to_string()))?;
-                    if !targets.contains(row) {
-                        targets.push(row.clone());
+                let removed = match self.draft_mut(&table) {
+                    Some(draft) => {
+                        let mut kept = draft.instance.all_ids();
+                        for tuple in tuples(draft.instance.schema(), &rows)? {
+                            if let Some(id) = draft.instance.id_of(&tuple) {
+                                kept.remove(id);
+                            }
+                        }
+                        let removed = draft.instance.len() - kept.len();
+                        if removed > 0 {
+                            draft.instance = draft.instance.restrict(&kept);
+                        }
+                        removed
                     }
+                    None => {
+                        let mutation = Mutation::new().delete_rows(&table, rows.iter().cloned());
+                        self.commit(&table, |_| Ok(Change::Mutation(mutation)))?.deleted
+                    }
+                };
+                // A queued preference relating a deleted tuple dies with it, as an
+                // installed one does.
+                if let Some(queue) = self.pending_prefers.get_mut(&table) {
+                    queue.retain(|(winner, loser)| !rows.contains(winner) && !rows.contains(loser));
                 }
-                // Drop every matching raw row, counting distinct stored tuples
-                // actually removed (set semantics: duplicate raw rows of one tuple
-                // count once).
-                let mut matched = vec![false; targets.len()];
-                entry.rows.retain(|row| match targets.iter().position(|t| t == row) {
-                    Some(index) => {
-                        matched[index] = true;
-                        false
-                    }
-                    None => true,
-                });
-                let removed = matched.into_iter().filter(|&m| m).count();
-                // Preferences relating a deleted tuple die with it — a rebuild would
-                // otherwise fail to resolve them, and the delta path drops exactly the
-                // priority edges incident to deleted tuples.
-                entry.preferences.retain(|(winner, loser)| {
-                    !targets.contains(winner) && !targets.contains(loser)
-                });
-                self.apply_or_mark_stale(&table, Mutation::new().delete_rows(&table, rows));
                 Ok(StatementOutcome::Deleted(removed))
             }
             Statement::Prefer { table, winner, loser } => {
                 // Both tuples must already be stored: a preference relates existing tuples.
-                let instance = self.instance(&table)?;
-                let entry = self.table_mut(&table)?;
-                for row in [&winner, &loser] {
-                    let tuple = entry
-                        .schema
-                        .tuple(row.clone())
-                        .map_err(|e| SqlError::Schema(e.to_string()))?;
-                    if !instance.contains_tuple(&tuple) {
-                        return Err(SqlError::Schema(format!(
-                            "PREFER references tuple {tuple}, which is not stored in `{table}`"
-                        )));
+                self.inspect(&table, |instance, _| {
+                    for row in [&winner, &loser] {
+                        let tuple = instance.schema().tuple(row.clone()).map_err(schema_error)?;
+                        if !instance.contains_tuple(&tuple) {
+                            return Err(SqlError::Schema(format!(
+                                "PREFER references tuple {tuple}, which is not stored in `{table}`"
+                            )));
+                        }
                     }
-                }
-                entry.preferences.push((winner, loser));
-                self.queue_prefer(&table);
+                    Ok(())
+                })?;
+                self.pending_prefers.entry(table).or_default().push((winner, loser));
                 Ok(StatementOutcome::PreferenceAdded)
             }
             Statement::Select(_) | Statement::Explain(_) => {
@@ -384,11 +338,7 @@ impl Session {
         }
     }
 
-    fn table(&self, name: &str) -> Result<&Table, SqlError> {
-        self.tables.get(name).ok_or_else(|| SqlError::UnknownTable(name.to_string()))
-    }
-
-    /// The names of the tables defined so far, in lexicographic order.
+    /// The names of the tables this session created, in lexicographic order.
     pub fn table_names(&self) -> Vec<String> {
         self.tables.keys().cloned().collect()
     }
@@ -399,63 +349,43 @@ impl Session {
         self.prepared.len()
     }
 
-    fn table_mut(&mut self, name: &str) -> Result<&mut Table, SqlError> {
-        self.tables.get_mut(name).ok_or_else(|| SqlError::UnknownTable(name.to_string()))
+    fn draft_mut(&mut self, table: &str) -> Option<&mut Draft> {
+        self.tables.get_mut(table).and_then(Option::as_mut)
+    }
+
+    /// Runs `f` over `table`'s instance and FDs: its draft's, or else those of the
+    /// snapshot the registry serves (queued `PREFER`s change neither).
+    fn inspect<T>(
+        &self,
+        table: &str,
+        f: impl FnOnce(&RelationInstance, &FdSet) -> Result<T, SqlError>,
+    ) -> Result<T, SqlError> {
+        if let Some(Some(draft)) = self.tables.get(table) {
+            return f(&draft.instance, &draft.fds);
+        }
+        let lease =
+            self.registry.read(table).ok_or_else(|| SqlError::UnknownTable(table.to_string()))?;
+        let ctx = context(lease.snapshot(), table)?;
+        f(ctx.instance(), ctx.fds())
     }
 
     /// The instance currently stored for `table` (validated rows, set semantics).
     pub fn instance(&self, table: &str) -> Result<RelationInstance, SqlError> {
-        let entry = self.table(table)?;
-        RelationInstance::from_rows(Arc::clone(&entry.schema), entry.rows.clone())
-            .map_err(|e| SqlError::Schema(e.to_string()))
+        self.inspect(table, |instance, _| Ok(instance.clone()))
     }
 
     /// The functional dependencies declared for `table`.
     pub fn fds(&self, table: &str) -> Result<FdSet, SqlError> {
-        let entry = self.table(table)?;
-        let texts: Vec<&str> = entry.fds.iter().map(String::as_str).collect();
-        FdSet::parse(Arc::clone(&entry.schema), &texts).map_err(|e| SqlError::Schema(e.to_string()))
-    }
-
-    /// Builds the engine snapshot for `table` from the stored rows, FDs and preferences
-    /// (no caching; prefer [`Session::snapshot`]).
-    fn build_snapshot(&self, table: &str) -> Result<EngineSnapshot, SqlError> {
-        let entry = self.table(table)?;
-        let instance = self.instance(table)?;
-        let fds = self.fds(table)?;
-        let mut pairs = Vec::new();
-        for (winner, loser) in &entry.preferences {
-            let winner_tuple =
-                entry.schema.tuple(winner.clone()).map_err(|e| SqlError::Schema(e.to_string()))?;
-            let loser_tuple =
-                entry.schema.tuple(loser.clone()).map_err(|e| SqlError::Schema(e.to_string()))?;
-            let (Some(w), Some(l)) = (instance.id_of(&winner_tuple), instance.id_of(&loser_tuple))
-            else {
-                return Err(SqlError::Schema(
-                    "PREFER statements must reference inserted tuples".to_string(),
-                ));
-            };
-            pairs.push((w, l));
-        }
-        EngineBuilder::new()
-            .relation(instance, fds)
-            .priority_pairs(&pairs)
-            // Builds fan conflict-graph shards out over the session's workers; the
-            // snapshot is bit-identical to a sequential build.
-            .parallelism(self.parallelism)
-            .build()
-            .map_err(|e| SqlError::Schema(format!("preference cannot be installed: {e}")))
+        self.inspect(table, |_, fds| Ok(fds.clone()))
     }
 
     /// The engine snapshot for `table`: the registry's current snapshot, pinned behind
     /// an [`Arc`] (no copies — every caller shares the snapshot and its memo).
     ///
-    /// Built and published through the registry on first use; a statement that changes
-    /// the table either swaps a delta-derived replacement into the registry right away
-    /// (`INSERT`/`DELETE`/`ALTER`), queues for a coalesced swap at this read
-    /// (`PREFER`), or marks the table stale so this read rebuilds and re-publishes.
-    /// Tables this session never defined are still served when another session (or a
-    /// server) published them into the shared registry.
+    /// This is a read: it publishes the table if it is still a draft and installs its
+    /// queued `PREFER`s first (see the [module docs](self)). Tables this session never
+    /// created are served when another session (or a server) published them into the
+    /// shared registry.
     pub fn snapshot(&mut self, table: &str) -> Result<Arc<EngineSnapshot>, SqlError> {
         self.snapshot_lease(table).map(SnapshotLease::into_snapshot)
     }
@@ -463,187 +393,69 @@ impl Session {
     /// [`Session::snapshot`] plus the registry generation the snapshot was published
     /// under (monotone per table — useful for observing revision swaps).
     pub fn snapshot_lease(&mut self, table: &str) -> Result<SnapshotLease, SqlError> {
-        if self.tables.contains_key(table) {
-            self.publish_if_stale(table)?;
-            // A racing `SnapshotRegistry::remove` on a shared registry can still take
-            // the slot away between the publish and this read; surface it as an
-            // unknown table rather than panicking inside library code.
-            return self.registry.read(table).ok_or_else(|| {
-                SqlError::UnknownTable(format!("{table} (removed from the shared registry)"))
-            });
-        }
-        // Not in this session's catalog: serve it if a sibling session or server
-        // published it into the shared registry.
+        self.flush(table)?;
         self.registry.read(table).ok_or_else(|| SqlError::UnknownTable(table.to_string()))
     }
 
-    /// Builds and publishes `table`'s snapshot when this session mutated it since the
-    /// last publish (or the registry does not serve it yet). Returns whether a publish
-    /// happened. The single site of the build → publish → stale-clear sequence.
-    fn publish_if_stale(&mut self, table: &str) -> Result<bool, SqlError> {
-        // Queued PREFERs install first — as one coalesced priority derivation when the
-        // delta path is available, otherwise by folding into the rebuild below.
-        self.flush_pending_prefers(table)?;
-        if !self.stale.contains(table) && self.registry.contains(table) {
-            return Ok(false);
+    /// Brings what the registry serves for `table` up to date with this session: a
+    /// draft builds and publishes once, and queued `PREFER`s install as one priority
+    /// change. Returns whether a draft was published. An install that fails discards
+    /// the queue and leaves the table as it was, so the next read succeeds.
+    fn flush(&mut self, table: &str) -> Result<bool, SqlError> {
+        let queued = self.pending_prefers.remove(table).unwrap_or_default();
+        if let Some(Some(draft)) = self.tables.get(table) {
+            let pairs = resolve(&draft.instance, &queued)?;
+            // Built from a copy: a failed install keeps the draft for the next read.
+            let snapshot = EngineBuilder::new()
+                .relation(draft.instance.clone(), draft.fds.clone())
+                .priority_pairs(&pairs)
+                .parallelism(self.parallelism)
+                .build()
+                .map_err(install_error)?;
+            self.registry.publish(table, snapshot);
+            self.tables.insert(table.to_string(), None);
+            return Ok(true);
         }
-        let snapshot = self.build_snapshot(table)?;
-        let generation = self.registry.publish(table, snapshot);
-        self.published_gen.insert(table.to_string(), generation);
-        self.stale.remove(table);
-        Ok(true)
-    }
-
-    /// Routes `ALTER TABLE … ADD FD` through the registry **as a schema delta** when
-    /// the served snapshot is still the one this session last wrote: the published
-    /// replacement scans for new conflict edges only inside the added FD's LHS groups
-    /// and re-partitions only the components those edges touch. Like the
-    /// `INSERT`/`DELETE` delta path, it commits against the expected generation;
-    /// interference from another writer (or a delta error) falls back to mark-stale +
-    /// rebuild.
-    fn add_fd_or_mark_stale(&mut self, table: &str, fd: FunctionalDependency) {
-        if !self.stale.contains(table) {
-            if let Some(&expected) = self.published_gen.get(table) {
-                let change = Change::AddFd { relation: table.to_string(), fd };
-                if let Some(generation) = self.commit(table, expected, change) {
-                    self.published_gen.insert(table.to_string(), generation);
-                    self.schema_stats.fds_delta += 1;
-                    return;
-                }
-            }
-        }
-        self.stale.insert(table.to_string());
-        self.schema_stats.fds_rebuild += 1;
-    }
-
-    /// Records a `PREFER` for installation at the next read boundary. Preferences on a
-    /// table whose served snapshot this session last wrote queue up and later flush as
-    /// **one** coalesced swap ([`Session::flush_pending_prefers`]); anything else goes
-    /// through the mark-stale/rebuild path directly.
-    fn queue_prefer(&mut self, table: &str) {
-        if !self.stale.contains(table) && self.published_gen.contains_key(table) {
-            *self.pending_prefers.entry(table.to_string()).or_insert(0) += 1;
-        } else {
-            self.stale.insert(table.to_string());
-            self.schema_stats.prefers_rebuild += 1;
-        }
-    }
-
-    /// Installs every queued `PREFER` on `table` as **one** priority change + registry
-    /// swap — the coalescing described in the [module
-    /// docs](self). Runs right before any snapshot read of the table. A generation
-    /// conflict (another writer swapped the slot since this session last wrote) falls
-    /// back to the mark-stale/rebuild path; an installation error (for example a
-    /// cyclic preference) also marks the table stale, so later reads keep surfacing
-    /// the error through the rebuild until the catalog is fixed.
-    fn flush_pending_prefers(&mut self, table: &str) -> Result<(), SqlError> {
-        let Some(batched) = self.pending_prefers.remove(table) else {
-            return Ok(());
-        };
-        if self.stale.contains(table) {
-            // A later statement already forced a rebuild; it installs the whole
-            // catalog, queued preferences included.
-            self.schema_stats.prefers_rebuild += batched;
-            return Ok(());
-        }
-        let Some(&expected) = self.published_gen.get(table) else {
-            self.stale.insert(table.to_string());
-            self.schema_stats.prefers_rebuild += batched;
-            return Ok(());
-        };
-        let entry = self.table(table)?;
-        let schema = Arc::clone(&entry.schema);
-        let preferences = entry.preferences.clone();
-        let name = table.to_string();
-        let applied = self.registry.commit(table, Some(expected), self.parallelism, |base| {
-            let ctx = base.context_of(&name).ok_or_else(|| SqlError::UnknownTable(name.clone()))?;
-            let instance = ctx.instance();
-            // Resolve the *whole* catalog preference list against the served
-            // instance: the replacement priority carries every preference, old and
-            // queued, so the result matches a fresh build exactly.
-            let mut pairs = Vec::new();
-            for (winner, loser) in &preferences {
-                let winner_tuple =
-                    schema.tuple(winner.clone()).map_err(|e| SqlError::Schema(e.to_string()))?;
-                let loser_tuple =
-                    schema.tuple(loser.clone()).map_err(|e| SqlError::Schema(e.to_string()))?;
-                let (Some(w), Some(l)) =
-                    (instance.id_of(&winner_tuple), instance.id_of(&loser_tuple))
+        if !queued.is_empty() {
+            self.commit(table, |base| {
+                let (Some(ctx), Some(served)) = (base.context_of(table), base.priority_of(table))
                 else {
-                    return Err(SqlError::Schema(
-                        "PREFER statements must reference inserted tuples".to_string(),
-                    ));
+                    return Err(SqlError::UnknownTable(table.to_string()));
                 };
-                pairs.push((w, l));
-            }
-            let priority = ctx
-                .priority_from_pairs(&pairs)
-                .map_err(|e| SqlError::Schema(format!("preference cannot be installed: {e}")))?;
-            Ok(Change::Priority { relation: name.clone(), priority })
-        });
-        let error = match applied {
-            Ok((generation, _)) => {
-                self.published_gen.insert(table.to_string(), generation);
-                self.schema_stats.prefers_delta += 1;
-                self.schema_stats.prefers_coalesced += batched;
-                return Ok(());
-            }
-            Err(error) => error,
-        };
-        self.stale.insert(table.to_string());
-        self.schema_stats.prefers_rebuild += batched;
-        match error {
-            ReviseError::UnknownTable(_) | ReviseError::Conflict { .. } => Ok(()),
-            ReviseError::Build(e) => Err(e),
-            other => Err(SqlError::Schema(format!("preference cannot be installed: {other}"))),
-        }
-    }
-
-    /// The delta-vs-rebuild accounting for this session's `ALTER TABLE … ADD FD` and
-    /// `PREFER` statements (see [`SchemaDeltaStats`]). Counters only ever grow.
-    pub fn schema_delta_stats(&self) -> SchemaDeltaStats {
-        self.schema_stats
-    }
-
-    /// Routes an `INSERT`/`DELETE` through the registry **as a delta** when the served
-    /// snapshot is still the one this session last wrote (the common single-writer
-    /// case): the published replacement re-partitions only the affected conflict
-    /// components and carries every untouched memo entry — no rebuild, no staleness.
-    /// The generation check runs under the registry's per-table revision lock
-    /// ([`SnapshotRegistry::commit`] with an expected generation), so a racing writer
-    /// can never slip between the check and the swap: if anyone else published since
-    /// this session last wrote, the delta is refused and the mutation falls back to
-    /// the mark-stale path (the next read rebuilds from this session's catalog).
-    fn apply_or_mark_stale(&mut self, table: &str, mutation: Mutation) {
-        if !self.stale.contains(table) {
-            if let Some(&expected) = self.published_gen.get(table) {
-                if let Some(generation) = self.commit(table, expected, Change::Mutation(mutation)) {
-                    self.published_gen.insert(table.to_string(), generation);
-                    return;
+                let mut priority = served.clone();
+                for (winner, loser) in resolve(ctx.instance(), &queued)? {
+                    priority.add(winner, loser).map_err(install_error)?;
                 }
-            }
+                Ok(Change::Priority { relation: table.to_string(), priority })
+            })?;
         }
-        self.stale.insert(table.to_string());
+        Ok(false)
     }
 
-    /// Commits a ready-made `change` to `table` if its generation is still `expected`,
-    /// returning the new generation.
-    fn commit(&self, table: &str, expected: u64, change: Change) -> Option<u64> {
-        let change = |_: &EngineSnapshot| Ok::<_, Infallible>(change);
-        let committed = self.registry.commit(table, Some(expected), self.parallelism, change);
-        committed.ok().map(|(generation, _)| generation)
+    /// Commits the change `change` builds from the snapshot the registry serves for
+    /// `table`, whichever writer published it.
+    fn commit(
+        &self,
+        table: &str,
+        change: impl FnOnce(&EngineSnapshot) -> Result<Change, SqlError>,
+    ) -> Result<ChangeReport, SqlError> {
+        match self.registry.commit(table, None, self.parallelism, change) {
+            Ok((_, report)) => Ok(report),
+            Err(ReviseError::UnknownTable(_)) => Err(SqlError::UnknownTable(table.to_string())),
+            Err(ReviseError::Build(e)) => Err(e),
+            Err(other) => Err(schema_error(other)),
+        }
     }
 
-    /// Builds and publishes every catalog table that is stale or unpublished, returning
-    /// the number of snapshots published. Servers call this once after loading a script
-    /// so the registry serves every table before the first request arrives.
+    /// Publishes every draft and installs every queued `PREFER`, returning the number of
+    /// drafts published. Servers call this once after loading a script so the registry
+    /// serves every table before the first request arrives.
     pub fn publish_tables(&mut self) -> Result<usize, SqlError> {
-        let names: Vec<String> = self.tables.keys().cloned().collect();
+        let names: BTreeSet<String> =
+            self.tables.keys().chain(self.pending_prefers.keys()).cloned().collect();
         let mut published = 0;
         for table in names {
-            if self.publish_if_stale(&table)? {
-                published += 1;
-            }
+            published += usize::from(self.flush(&table)?);
         }
         Ok(published)
     }
@@ -663,10 +475,10 @@ impl Session {
     }
 
     /// Registers a repair-quantified `SELECT … WITH REPAIRS <family>` as a continuous
-    /// query: the statement is planned through the ordinary prepared-`SELECT` path,
-    /// its table is published if this session holds it, and later generation swaps
-    /// arrive as [`SubscriptionEvent`]s through [`Session::drain_subscription_events`].
-    /// Returns the subscription id plus the initial full answer the deltas build on.
+    /// query: the statement is planned through the ordinary prepared-`SELECT` path
+    /// after a read of its table, and later generation swaps arrive as
+    /// [`SubscriptionEvent`]s through [`Session::drain_subscription_events`]. Returns
+    /// the subscription id plus the initial full answer the deltas build on.
     pub fn subscribe(&mut self, sql: &str, semantics: Semantics) -> Result<Subscribed, SqlError> {
         self.subscribe_with(sql, semantics, SubscribeOptions::default())
     }
@@ -688,9 +500,8 @@ impl Session {
                 "subscriptions quantify over repairs; add WITH REPAIRS <family>".to_string(),
             ));
         };
-        // Publish the table first so the registry serves a slot to register against.
-        self.snapshot(&select.table)?;
-        let prepared = self.prepare_select(sql.trim(), &select)?;
+        // The read publishes the table, so the registry serves a slot to register against.
+        let (_, prepared) = self.read_select(sql.trim(), &select)?;
         let manager = self.subscription_manager();
         let mut subscribed = manager
             .subscribe_with(&self.registry, Arc::clone(&prepared.query), family, semantics, options)
@@ -737,73 +548,19 @@ impl Session {
         events
     }
 
-    /// Builds the open conjunctive query corresponding to a `SELECT`: one variable per
-    /// column, the table atom, and the `WHERE` conditions as comparisons; non-projected
-    /// columns are existentially quantified.
-    fn select_query(
-        &self,
-        entry: &Table,
-        select: &SelectStatement,
-    ) -> Result<(Vec<String>, Formula), SqlError> {
-        let all_columns: Vec<String> =
-            entry.schema.attributes().iter().map(|a| a.name.clone()).collect();
-        let projected: Vec<String> =
-            if select.star { all_columns.clone() } else { select.columns.clone() };
-        for column in projected.iter().chain(select.conditions.iter().map(|c| &c.column)) {
-            if !all_columns.contains(column) {
-                return Err(SqlError::UnknownColumn {
-                    table: entry.schema.name().to_string(),
-                    column: column.clone(),
-                });
-            }
-        }
-        let column_var = |column: &str| format!("v_{column}");
-        let args: Vec<Term> = all_columns.iter().map(|c| var(&column_var(c)).clone()).collect();
-        let mut conjuncts = vec![atom(entry.schema.name(), args)];
-        for condition in &select.conditions {
-            let rhs = match &condition.rhs {
-                ConditionRhs::Column(column) => {
-                    if !all_columns.contains(column) {
-                        return Err(SqlError::UnknownColumn {
-                            table: entry.schema.name().to_string(),
-                            column: column.clone(),
-                        });
-                    }
-                    var(&column_var(column))
-                }
-                ConditionRhs::Constant(value) => Term::Const(value.clone()),
-            };
-            conjuncts.push(Formula::Comparison(pdqi_query::Comparison {
-                left: var(&column_var(&condition.column)),
-                op: condition.op,
-                right: rhs,
-            }));
-        }
-        let body = and_all(conjuncts);
-        // Existentially quantify the non-projected columns.
-        let hidden: Vec<String> =
-            all_columns.iter().filter(|c| !projected.contains(c)).map(|c| column_var(c)).collect();
-        let formula = if hidden.is_empty() {
-            body
-        } else {
-            let refs: Vec<&str> = hidden.iter().map(String::as_str).collect();
-            exists(&refs, body)
-        };
-        Ok((projected, formula))
-    }
-
-    /// Plans the `SELECT` once per distinct statement text (projection + prepared
-    /// formula), caching the plan for later executions.
-    fn prepare_select(
+    /// Reads `select`'s table (see [`Session::snapshot`]) and plans the statement
+    /// against the served schema, once per distinct statement text.
+    fn read_select(
         &mut self,
         sql_text: &str,
         select: &SelectStatement,
-    ) -> Result<PreparedSelect, SqlError> {
+    ) -> Result<(Arc<EngineSnapshot>, PreparedSelect), SqlError> {
+        let snapshot = self.snapshot(&select.table)?;
         if let Some(prepared) = self.prepared.get(sql_text) {
-            return Ok(prepared.clone());
+            return Ok((snapshot, prepared.clone()));
         }
-        let entry = self.table(&select.table)?;
-        let (projected, formula) = self.select_query(entry, select)?;
+        let (projected, formula) =
+            select_query(context(&snapshot, &select.table)?.instance().schema(), select)?;
         let prepared = PreparedSelect {
             projected,
             query: Arc::new(PreparedQuery::from_formula(formula).with_source(sql_text)),
@@ -814,7 +571,7 @@ impl Session {
             self.prepared.clear();
         }
         self.prepared.insert(sql_text.to_string(), prepared.clone());
-        Ok(prepared)
+        Ok((snapshot, prepared))
     }
 
     fn select(
@@ -822,50 +579,39 @@ impl Session {
         sql_text: &str,
         select: &SelectStatement,
     ) -> Result<StatementOutcome, SqlError> {
-        let PreparedSelect { projected, query } = self.prepare_select(sql_text, select)?;
-        let rows = match select.repairs {
+        let (snapshot, PreparedSelect { projected, query }) = self.read_select(sql_text, select)?;
+        let query_error = |e: pdqi_query::QueryError| SqlError::Query(e.to_string());
+        // Both paths yield rows in the formula's free-variable order.
+        let answers: Vec<Vec<Value>> = match select.repairs {
+            // Plain evaluation over the stored (possibly inconsistent) instance.
             None => {
-                // Plain evaluation over the stored (possibly inconsistent) instance.
-                let instance = self.instance(&select.table)?;
-                let evaluator = Evaluator::with_relation(&instance);
-                let answers = evaluator
-                    .answers(query.formula())
-                    .map_err(|e| SqlError::Query(e.to_string()))?;
-                answers
-                    .into_iter()
-                    .map(|assignment| {
-                        projected.iter().map(|c| assignment[&format!("v_{c}")].clone()).collect()
-                    })
-                    .collect::<Vec<Vec<Value>>>()
+                let ctx = context(&snapshot, &select.table)?;
+                let mut evaluator = Evaluator::new();
+                evaluator.add_relation_columnar(ctx.instance(), ctx.columns());
+                evaluator.answer_rows(query.formula()).map_err(query_error)?.into_iter().collect()
             }
-            Some(kind) => {
-                // Certain answers over the preferred repairs, through the snapshot's
-                // memoised pipeline. The answer rows come back in lexicographic order of
-                // the *variable names*; rebuild them in projection order through the
-                // free-variable order of the formula.
-                let snapshot = self.snapshot(&select.table)?;
-                let answers = query
-                    .execute_with(&snapshot, kind, Semantics::Certain, self.parallelism)
-                    .map_err(|e| SqlError::Query(e.to_string()))?;
-                let free = query.free_vars();
-                answers
-                    .map(|row| {
-                        projected
-                            .iter()
-                            .map(|c| {
-                                let variable = format!("v_{c}");
-                                let index = free
-                                    .iter()
-                                    .position(|v| *v == variable)
-                                    .expect("projected columns are free variables");
-                                row[index].clone()
-                            })
-                            .collect()
-                    })
-                    .collect::<Vec<Vec<Value>>>()
-            }
+            // Certain answers over the preferred repairs, through the snapshot's
+            // memoised pipeline.
+            Some(kind) => query
+                .execute_with(&snapshot, kind, Semantics::Certain, self.parallelism)
+                .map_err(query_error)?
+                .collect(),
         };
-        let mut rows = rows;
+        let positions: Vec<usize> = projected
+            .iter()
+            .map(|column| {
+                let variable = format!("v_{column}");
+                query
+                    .free_vars()
+                    .iter()
+                    .position(|v| *v == variable)
+                    .expect("projected columns are free variables")
+            })
+            .collect();
+        let mut rows: Vec<Vec<Value>> = answers
+            .iter()
+            .map(|row| positions.iter().map(|&index| row[index].clone()).collect())
+            .collect();
         rows.sort();
         rows.dedup();
         Ok(StatementOutcome::Rows(QueryResult { columns: projected, rows }))
@@ -887,13 +633,122 @@ impl Session {
                 "EXPLAIN covers repair-quantified SELECTs; add WITH REPAIRS <family>".to_string(),
             ));
         };
-        let PreparedSelect { query, .. } = self.prepare_select(sql_text, select)?;
-        let snapshot = self.snapshot(&select.table)?;
+        let (snapshot, PreparedSelect { query, .. }) = self.read_select(sql_text, select)?;
         let report = query
             .explain(&snapshot, kind, Semantics::Certain, self.parallelism)
             .map_err(|e| SqlError::Query(e.to_string()))?;
         Ok(StatementOutcome::Plan(report))
     }
+}
+
+/// Splits a script into statements at every `;` outside a quoted literal, dropping `--`
+/// comments (which run to the end of their line) and blank statements.
+fn split_script(script: &str) -> Vec<String> {
+    let mut statements = vec![String::new()];
+    let mut quoted = false;
+    let mut chars = script.chars().peekable();
+    while let Some(c) = chars.next() {
+        let current = statements.last_mut().expect("the statement list is never empty");
+        match c {
+            // The lexer's `''` escape toggles twice, so the literal stays open across it.
+            '\'' => {
+                quoted = !quoted;
+                current.push(c);
+            }
+            ';' if !quoted => statements.push(String::new()),
+            '-' if !quoted && chars.peek() == Some(&'-') => {
+                while chars.next_if(|&c| c != '\n').is_some() {}
+            }
+            _ => current.push(c),
+        }
+    }
+    statements.iter().map(|s| s.trim().to_string()).filter(|s| !s.is_empty()).collect()
+}
+
+/// Builds the open conjunctive query corresponding to a `SELECT` over a table of
+/// `schema`: one variable per column, the table atom, and the `WHERE` conditions as
+/// comparisons; non-projected columns are existentially quantified.
+fn select_query(
+    schema: &RelationSchema,
+    select: &SelectStatement,
+) -> Result<(Vec<String>, Formula), SqlError> {
+    let all_columns: Vec<String> = schema.attributes().iter().map(|a| a.name.clone()).collect();
+    let projected: Vec<String> =
+        if select.star { all_columns.clone() } else { select.columns.clone() };
+    for column in projected.iter().chain(select.conditions.iter().map(|c| &c.column)) {
+        if !all_columns.contains(column) {
+            return Err(SqlError::UnknownColumn {
+                table: schema.name().to_string(),
+                column: column.clone(),
+            });
+        }
+    }
+    let column_var = |column: &str| format!("v_{column}");
+    let args: Vec<Term> = all_columns.iter().map(|c| var(&column_var(c)).clone()).collect();
+    let mut conjuncts = vec![atom(schema.name(), args)];
+    for condition in &select.conditions {
+        let rhs = match &condition.rhs {
+            ConditionRhs::Column(column) => {
+                if !all_columns.contains(column) {
+                    return Err(SqlError::UnknownColumn {
+                        table: schema.name().to_string(),
+                        column: column.clone(),
+                    });
+                }
+                var(&column_var(column))
+            }
+            ConditionRhs::Constant(value) => Term::Const(value.clone()),
+        };
+        conjuncts.push(Formula::Comparison(pdqi_query::Comparison {
+            left: var(&column_var(&condition.column)),
+            op: condition.op,
+            right: rhs,
+        }));
+    }
+    let body = and_all(conjuncts);
+    // Existentially quantify the non-projected columns.
+    let hidden: Vec<String> =
+        all_columns.iter().filter(|c| !projected.contains(c)).map(|c| column_var(c)).collect();
+    let formula = if hidden.is_empty() {
+        body
+    } else {
+        let refs: Vec<&str> = hidden.iter().map(String::as_str).collect();
+        exists(&refs, body)
+    };
+    Ok((projected, formula))
+}
+
+/// `table`'s repair context in `snapshot`.
+fn context<'a>(snapshot: &'a EngineSnapshot, table: &str) -> Result<&'a RepairContext, SqlError> {
+    snapshot.context_of(table).ok_or_else(|| SqlError::UnknownTable(table.to_string()))
+}
+
+/// Validates every row of a statement against `schema` before any of them applies.
+fn tuples(schema: &RelationSchema, rows: &[Vec<Value>]) -> Result<Vec<Tuple>, SqlError> {
+    rows.iter().map(|row| schema.tuple(row.clone()).map_err(schema_error)).collect()
+}
+
+/// Resolves queued preferences to tuple-id pairs of `instance`.
+fn resolve(
+    instance: &RelationInstance,
+    queued: &[Preference],
+) -> Result<Vec<(TupleId, TupleId)>, SqlError> {
+    let id = |row: &Vec<Value>| {
+        let tuple = instance.schema().tuple(row.clone()).map_err(schema_error)?;
+        instance
+            .id_of(&tuple)
+            .ok_or_else(|| install_error(format!("tuple {tuple} is no longer stored")))
+    };
+    queued.iter().map(|(winner, loser)| Ok((id(winner)?, id(loser)?))).collect()
+}
+
+fn schema_error(e: impl fmt::Display) -> SqlError {
+    SqlError::Schema(e.to_string())
+}
+
+/// The error of a `PREFER` batch that could not be installed (and was discarded).
+fn install_error(e: impl fmt::Display) -> SqlError {
+    SqlError::Schema(format!("queued PREFERs discarded: {e}"))
 }
 
 #[cfg(test)]
@@ -1035,18 +890,17 @@ mod tests {
     }
 
     #[test]
-    fn mutations_fall_back_to_rebuilds_when_another_writer_interferes() {
+    fn mutations_commit_on_top_of_another_writers_publish() {
         let registry = pdqi_core::SnapshotRegistry::shared();
         let mut writer = Session::with_registry(Arc::clone(&registry));
         writer.execute_script(SETUP).unwrap();
         writer.snapshot("Mgr").unwrap();
-        // A sibling session re-publishes the table: the writer's recorded generation
-        // is now behind, so its next mutation must not delta against foreign state.
+        // A sibling session re-publishes the table over the writer's snapshot.
         let mut sibling = Session::with_registry(Arc::clone(&registry));
         sibling.execute_script(SETUP).unwrap();
         sibling.snapshot("Mgr").unwrap();
         writer.execute("INSERT INTO Mgr VALUES ('Eve','HR',15,2)").unwrap();
-        // The insert fell back to mark-stale; the next read rebuilds and re-publishes.
+        // The insert commits on top of whatever the registry serves: the sibling's rows.
         let snapshot = writer.snapshot("Mgr").unwrap();
         assert_eq!(snapshot.context().instance().len(), 5);
     }
@@ -1086,8 +940,8 @@ mod tests {
         // Tables nobody published are still unknown.
         assert!(matches!(reader.snapshot("Nope"), Err(SqlError::UnknownTable(_))));
         // A session defining its *own* table under a served name must not be shadowed
-        // by the sibling's snapshot: CREATE TABLE marks the name stale, so the next
-        // read publishes this session's (empty, differently-shaped) table.
+        // by the sibling's snapshot: CREATE TABLE starts a draft, so the next read
+        // publishes this session's (empty, differently-shaped) table.
         let mut third = Session::with_registry(Arc::clone(&registry));
         third.execute("CREATE TABLE Mgr (Id INT)").unwrap();
         let own = third.snapshot("Mgr").unwrap();
@@ -1113,7 +967,6 @@ mod tests {
         session.execute("ALTER TABLE Clean ADD FD A -> B").unwrap();
         assert_eq!(session.registry().generation("Clean"), 3);
         assert_eq!(session.publish_tables().unwrap(), 0);
-        assert_eq!(session.schema_delta_stats().fds_delta, 1);
     }
 
     #[test]
@@ -1129,10 +982,6 @@ mod tests {
         let lease = session.snapshot_lease("Mgr").unwrap();
         assert_eq!(lease.generation(), 2);
         assert_eq!(lease.snapshot().priority().edge_count(), 3);
-        let stats = session.schema_delta_stats();
-        assert_eq!(stats.prefers_delta, 1);
-        assert_eq!(stats.prefers_coalesced, 3);
-        assert_eq!(stats.prefers_rebuild, 0);
         // The coalesced delta matches a from-scratch build of the same catalog.
         let mut fresh = session_with_example1();
         fresh.execute("PREFER ('Mary','R&D',40,3) OVER ('Mary','IT',20,1) IN Mgr").unwrap();
@@ -1158,7 +1007,6 @@ mod tests {
         let lease = session.snapshot_lease("Mgr").unwrap();
         assert!(Arc::ptr_eq(lease.snapshot().graph(), before.graph()));
         assert_eq!(lease.snapshot().context().fds().len(), 3);
-        assert_eq!(session.schema_delta_stats().fds_delta, 1);
         // A later insert conflicts under the *new* FD (salary 40 twice, different
         // departments); the mutation delta over the FD-extended snapshot matches a
         // fresh session replaying the whole script.
@@ -1251,5 +1099,98 @@ mod tests {
         // The second execution was served entirely from the answer memo.
         assert_eq!(stats.answer_hits, 1);
         assert_eq!(session.prepared_statement_count(), 1);
+    }
+
+    #[test]
+    fn scripts_split_outside_literals_and_drop_only_comment_lines() {
+        let mut session = Session::new();
+        let outcomes = session
+            .execute_script(
+                "CREATE TABLE T (K TEXT, V INT);\
+                 INSERT INTO T VALUES ('a;b', 1), ('it''s;', 2);",
+            )
+            .unwrap();
+        assert_eq!(outcomes, vec![StatementOutcome::Created, StatementOutcome::Inserted(2)]);
+        let result = rows(session.execute("SELECT K FROM T").unwrap());
+        assert_eq!(result.rows, vec![vec![Value::name("a;b")], vec![Value::name("it's;")]]);
+        // A `--` comment ends at its line, so the statement after it still runs.
+        let outcomes = session
+            .execute_script(
+                "CREATE TABLE U (A TEXT); -- don't skip; me\nINSERT INTO U VALUES ('x');",
+            )
+            .unwrap();
+        assert_eq!(outcomes, vec![StatementOutcome::Created, StatementOutcome::Inserted(1)]);
+        assert_eq!(session.instance("U").unwrap().len(), 1);
+    }
+
+    #[test]
+    fn a_session_queries_tables_a_sibling_defined() {
+        let registry = SnapshotRegistry::shared();
+        let mut writer = Session::with_registry(Arc::clone(&registry));
+        writer.execute_script(SETUP).unwrap();
+        assert_eq!(writer.publish_tables().unwrap(), 1);
+        let mut reader = Session::with_registry(registry);
+        let statement = "SELECT Name FROM Mgr WITH REPAIRS ALL";
+        assert_eq!(
+            rows(reader.execute(statement).unwrap()),
+            rows(writer.execute(statement).unwrap())
+        );
+        let plain = rows(reader.execute("SELECT Name FROM Mgr WHERE Dept = 'R&D'").unwrap());
+        assert_eq!(plain.rows.len(), 2);
+        let explained = reader.execute(&format!("EXPLAIN {statement}")).unwrap();
+        assert!(matches!(explained, StatementOutcome::Plan(_)), "{explained:?}");
+        assert_eq!(reader.subscribe(statement, Semantics::Certain).unwrap().rows.len(), 2);
+        // Columns resolve against the served schema.
+        assert!(matches!(
+            reader.execute("SELECT Bogus FROM Mgr"),
+            Err(SqlError::UnknownColumn { .. })
+        ));
+    }
+
+    #[test]
+    fn a_row_another_writer_commits_survives_the_sessions_next_insert() {
+        let mut session = session_with_example1();
+        session.snapshot("Mgr").unwrap();
+        let row = vec![Value::name("Eve"), Value::name("HR"), Value::int(15), Value::int(2)];
+        let insert = |_: &EngineSnapshot| {
+            Ok::<_, std::convert::Infallible>(Change::Mutation(Mutation::new().insert("Mgr", row)))
+        };
+        session.registry().commit("Mgr", None, Parallelism::sequential(), insert).unwrap();
+        session.execute("INSERT INTO Mgr VALUES ('Bob','FIN',12,1)").unwrap();
+        assert_eq!(session.snapshot("Mgr").unwrap().context().instance().len(), 6);
+    }
+
+    #[test]
+    fn a_failed_prefer_install_discards_the_queue_and_leaves_the_table_readable() {
+        const GOOD: &str = "PREFER ('Mary','R&D',40,3) OVER ('Mary','IT',20,1) IN Mgr";
+        // The reverse of GOOD closes a cycle; the other pair does not conflict.
+        const CYCLIC: &str = "PREFER ('Mary','IT',20,1) OVER ('Mary','R&D',40,3) IN Mgr";
+        const UNRELATED: &str = "PREFER ('Mary','R&D',40,3) OVER ('John','PR',30,4) IN Mgr";
+        let select = "SELECT Dept FROM Mgr WITH REPAIRS GLOBAL";
+        for bad in [CYCLIC, UNRELATED] {
+            // Published: the failing read leaves the last good generation served.
+            let mut published = session_with_example1();
+            published.execute(GOOD).unwrap();
+            assert_eq!(published.snapshot_lease("Mgr").unwrap().generation(), 1);
+            published.execute(bad).unwrap();
+            assert!(matches!(published.execute(select), Err(SqlError::Schema(_))), "{bad}");
+            let lease = published.snapshot_lease("Mgr").unwrap();
+            assert_eq!((lease.generation(), lease.snapshot().priority().edge_count()), (1, 1));
+            published.execute(select).unwrap();
+            // Draft: the failing read publishes nothing; the next publishes rows and FDs.
+            let mut draft = session_with_example1();
+            draft.execute(GOOD).unwrap();
+            draft.execute(bad).unwrap();
+            assert!(matches!(draft.execute(select), Err(SqlError::Schema(_))), "{bad}");
+            assert!(!draft.registry().contains("Mgr"));
+            let lease = draft.snapshot_lease("Mgr").unwrap();
+            assert_eq!((lease.generation(), lease.snapshot().priority().edge_count()), (1, 0));
+            assert_eq!(lease.snapshot().context().instance().len(), 4);
+            assert_eq!(lease.snapshot().context().fds().len(), 2);
+            for session in [&mut published, &mut draft] {
+                session.execute("INSERT INTO Mgr VALUES ('Eve','HR',15,2)").unwrap();
+                assert_eq!(session.snapshot("Mgr").unwrap().context().instance().len(), 5);
+            }
+        }
     }
 }

@@ -71,7 +71,8 @@
 //!
 //! For serving, a [`SnapshotRegistry`] holds one atomically-swappable snapshot per
 //! table and publishes changes through [`SnapshotRegistry::commit`]; the SQL front end
-//! ([`Session`]) is a thin view over it, and the
+//! ([`Session`]) is a thin view over it, holding a table only until its first read
+//! publishes it and committing every later statement there, and the
 //! `pdqi-server` crate puts a network front end (length-prefixed TCP protocol over
 //! [`BatchExecutor`]) on the same registry.
 //!
