@@ -98,19 +98,21 @@ impl Interpreter {
         &mut self.session
     }
 
-    /// Interprets one line (an SQL statement or a meta command) and returns the text to
-    /// print. Blank lines and `--` comments produce no output.
+    /// Interprets one line (SQL statements or a meta command) and returns the text to
+    /// print. SQL runs through [`Session::execute_script`], so `;` separates statements
+    /// and `--` starts a comment, as in any script; blank lines produce no output.
     pub fn run_line(&mut self, line: &str) -> Result<String, CliError> {
-        let trimmed = line.trim().trim_end_matches(';');
-        if trimmed.is_empty() || trimmed.starts_with("--") {
-            return Ok(String::new());
-        }
-        let mut output = if let Some(command) = trimmed.strip_prefix('.') {
-            self.run_meta(command)?
+        let mut output = String::new();
+        if let Some(command) = line.trim().strip_prefix('.') {
+            output = self.run_meta(command.trim_end_matches(';'))?;
         } else {
-            let outcome = self.session.execute(trimmed)?;
-            render_outcome(&outcome)
-        };
+            for outcome in self.session.execute_script(line)? {
+                if !output.is_empty() && !output.ends_with('\n') {
+                    output.push('\n');
+                }
+                output.push_str(&render_outcome(&outcome));
+            }
+        }
         // Continuous queries piggyback on the interactive loop: any swap the line
         // caused (INSERT, DELETE, PREFER, …) queued events — print them right away.
         for (id, event) in self.session.drain_subscription_events() {
@@ -905,6 +907,21 @@ mod tests {
         assert!(out.contains("3 repair(s)"));
         let out = interpreter.run_line("SELECT Name FROM Mgr WITH REPAIRS ALL").unwrap();
         assert!(out.contains("Name"));
+    }
+
+    #[test]
+    fn script_lines_follow_the_session_comment_rule() {
+        let mut interpreter = Interpreter::new();
+        let output = interpreter.run_script(
+            "CREATE TABLE C (K TEXT); -- note\n\
+             -- a whole-line comment\n\
+             INSERT INTO C VALUES ('café'); INSERT INTO C VALUES ('a;b -- kept');\n\
+             SELECT K FROM C;",
+        );
+        assert!(!output.contains("error"), "{output}");
+        assert!(output.lines().any(|line| line == "café"), "{output}");
+        assert!(output.lines().any(|line| line == "a;b -- kept"), "{output}");
+        assert!(interpreter.run_line(".count C;").unwrap().contains("1 repair(s)"));
     }
 
     #[test]

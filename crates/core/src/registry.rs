@@ -408,10 +408,12 @@ impl SnapshotRegistry {
     ///
     /// With `expected`, the current generation is checked **under the per-table
     /// revision lock** and a mismatch fails with [`ReviseError::Conflict`] before
-    /// `change` runs — the compare-and-swap a catalog-owning writer (like
-    /// `sql::Session`) needs, since deriving from a snapshot some other writer published
-    /// would silently adopt foreign state. Writers of one table serialise, so no
-    /// published snapshot is lost to a build/swap interleaving.
+    /// `change` runs — the compare-and-swap a writer needs when it computed its change
+    /// from a generation it read earlier, since applying it on top of a snapshot some
+    /// other writer published since would act on state the writer never saw. Writers
+    /// that build their change from the pinned snapshot `change` receives (the server,
+    /// `sql::Session`) pass `None`. Writers of one table serialise, so no published
+    /// snapshot is lost to a build/swap interleaving.
     pub fn commit<E>(
         &self,
         table: &str,

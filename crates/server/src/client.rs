@@ -160,7 +160,19 @@ impl Client {
     /// Pushed subscription frames that arrive before the response are buffered for
     /// [`Client::try_event`] / [`Client::wait_event`], never returned from here.
     pub fn request_raw(&mut self, payload: &str) -> Result<String, ClientError> {
-        write_frame(&mut self.writer, payload)?;
+        self.send(payload)?;
+        Ok(self.receive()?)
+    }
+
+    /// Writes one request frame without waiting for the response: the coordinator's
+    /// fan-out sends to every shard before it reads any reply.
+    pub(crate) fn send(&mut self, payload: &str) -> io::Result<()> {
+        write_frame(&mut self.writer, payload)
+    }
+
+    /// Reads the response to the oldest unanswered request, buffering pushed frames
+    /// that arrive before it.
+    pub(crate) fn receive(&mut self) -> Result<String, FrameError> {
         loop {
             let response = read_frame(&mut self.reader)?;
             if response.starts_with("DELTA ") || response.starts_with("LAGGED ") {
@@ -214,24 +226,7 @@ impl Client {
     /// back in request order, all answered at the returned generation.
     pub fn batch(&mut self, specs: Vec<ExecSpec>) -> Result<(Vec<ExecOutcome>, u64), ClientError> {
         let expected = specs.len();
-        let response = self.request(&Request::Batch(specs))?;
-        let mut lines = response.split('\n');
-        let head = lines.next().unwrap_or("");
-        let generation = parse_tagged(head, "gen")?;
-        let mut outcomes = Vec::with_capacity(expected);
-        while let Some(line) = lines.next() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            outcomes.push(parse_block(line, &mut lines)?);
-        }
-        if outcomes.len() != expected {
-            return Err(ClientError::Malformed(format!(
-                "expected {expected} batch responses, got {}",
-                outcomes.len()
-            )));
-        }
-        Ok((outcomes, generation))
+        parse_batch(&self.request(&Request::Batch(specs))?, expected)
     }
 
     /// Fetches the costed physical plan the server's planner picks for a prepared
@@ -289,13 +284,11 @@ impl Client {
         inserts: &[Vec<String>],
         deletes: &[Vec<String>],
     ) -> Result<(usize, usize, u64), ClientError> {
-        let response = self.request(&Request::Mutate {
+        parse_mutated(&self.request(&Request::Mutate {
             table: table.to_string(),
             inserts: inserts.to_vec(),
             deletes: deletes.to_vec(),
-        })?;
-        let head = response.lines().next().unwrap_or("");
-        Ok((counted(head, "inserted")?, counted(head, "deleted")?, parse_tagged(head, "gen")?))
+        })?)
     }
 
     fn mutation_request(
@@ -436,33 +429,7 @@ impl Client {
 
     /// Describes a served table: row count, generation, column names and types.
     pub fn describe(&mut self, table: &str) -> Result<TableDescription, ClientError> {
-        let response = self.request(&Request::Describe { table: table.to_string() })?;
-        let mut lines = response.split('\n');
-        let head = lines.next().unwrap_or("");
-        // `OK describe <table> rows=<n> gen=<g>`: the table is the token after the verb.
-        let table = head
-            .split_whitespace()
-            .skip_while(|token| *token != "describe")
-            .nth(1)
-            .ok_or_else(|| ClientError::Malformed(format!("no table in `{head}`")))?
-            .to_string();
-        let rows = usize::try_from(parse_tagged(head, "rows")?).unwrap_or(usize::MAX);
-        let generation = parse_tagged(head, "gen")?;
-        let mut columns = Vec::new();
-        for line in lines {
-            let Some((name, ty)) = line.split_once('\t') else {
-                return Err(ClientError::Malformed(format!("bad column line `{line}`")));
-            };
-            let ty = match ty {
-                "INT" => ValueType::Int,
-                "NAME" => ValueType::Name,
-                other => {
-                    return Err(ClientError::Malformed(format!("unknown column type `{other}`")))
-                }
-            };
-            columns.push((crate::protocol::unescape_field(name), ty));
-        }
-        Ok(TableDescription { table, rows, generation, columns })
+        parse_describe(&self.request(&Request::Describe { table: table.to_string() })?)
     }
 
     /// The server's raw `STATS` response.
@@ -524,6 +491,65 @@ impl Iterator for Events<'_> {
     }
 }
 
+/// Parses a `BATCH` response of `expected` entries: the outcomes in request order and
+/// the generation they were all answered at.
+pub(crate) fn parse_batch(
+    response: &str,
+    expected: usize,
+) -> Result<(Vec<ExecOutcome>, u64), ClientError> {
+    let mut lines = response.split('\n');
+    let head = lines.next().unwrap_or("");
+    let generation = parse_tagged(head, "gen")?;
+    let mut outcomes = Vec::with_capacity(expected);
+    while let Some(line) = lines.next() {
+        if line.trim().is_empty() {
+            continue;
+        }
+        outcomes.push(parse_block(line, &mut lines)?);
+    }
+    if outcomes.len() != expected {
+        return Err(ClientError::Malformed(format!(
+            "expected {expected} batch responses, got {}",
+            outcomes.len()
+        )));
+    }
+    Ok((outcomes, generation))
+}
+
+/// Parses a `DESCRIBE` response.
+pub(crate) fn parse_describe(response: &str) -> Result<TableDescription, ClientError> {
+    let mut lines = response.split('\n');
+    let head = lines.next().unwrap_or("");
+    // `OK describe <table> rows=<n> gen=<g>`: the table is the token after the verb.
+    let table = head
+        .split_whitespace()
+        .skip_while(|token| *token != "describe")
+        .nth(1)
+        .ok_or_else(|| ClientError::Malformed(format!("no table in `{head}`")))?
+        .to_string();
+    let rows = usize::try_from(parse_tagged(head, "rows")?).unwrap_or(usize::MAX);
+    let generation = parse_tagged(head, "gen")?;
+    let mut columns = Vec::new();
+    for line in lines {
+        let Some((name, ty)) = line.split_once('\t') else {
+            return Err(ClientError::Malformed(format!("bad column line `{line}`")));
+        };
+        let ty = match ty {
+            "INT" => ValueType::Int,
+            "NAME" => ValueType::Name,
+            other => return Err(ClientError::Malformed(format!("unknown column type `{other}`"))),
+        };
+        columns.push((crate::protocol::unescape_field(name), ty));
+    }
+    Ok(TableDescription { table, rows, generation, columns })
+}
+
+/// Parses a `MUTATE` response: `(inserted, deleted, generation)`.
+pub(crate) fn parse_mutated(response: &str) -> Result<(usize, usize, u64), ClientError> {
+    let head = response.lines().next().unwrap_or("");
+    Ok((counted(head, "inserted")?, counted(head, "deleted")?, parse_tagged(head, "gen")?))
+}
+
 /// Extracts `<verb> <count>` from a mutation response head.
 fn counted(head: &str, verb: &str) -> Result<usize, ClientError> {
     head.split_whitespace()
@@ -576,7 +602,7 @@ fn parse_push(payload: &str) -> Result<PushEvent, ClientError> {
 }
 
 /// Extracts `tag=<u64>` from a response head line.
-fn parse_tagged(line: &str, tag: &str) -> Result<u64, ClientError> {
+pub(crate) fn parse_tagged(line: &str, tag: &str) -> Result<u64, ClientError> {
     let prefix = format!("{tag}=");
     line.split_whitespace()
         .find_map(|token| token.strip_prefix(&prefix))

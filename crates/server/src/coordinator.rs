@@ -1,4 +1,4 @@
-//! The scatter-gather coordinator: one protocol front end over N key-range shards.
+//! The coordinator: one protocol front end over N key-range shards.
 //!
 //! A coordinator is a *serve-compatible* process: it runs on the same transport as
 //! `pdqi serve` (one accept thread, one thread per connection, the same frame loop),
@@ -9,11 +9,22 @@
 //! ```text
 //!                        ┌────────────┐      ┌──────────────────┐
 //!  pdqi connect ───────► │ pdqi coord │ ───► │ pdqi serve shard0 │  keys < split
-//!     (frames)           │  scatter/  │ ───► │ pdqi serve shard1 │  keys ≥ split
-//!                        │   gather   │      └──────────────────┘
-//!                        └────────────┘   one Client per shard, PREPARE on all,
-//!                                         EXEC/BATCH fan-out, mutations routed
+//!     (frames)           │  fan-out/  │ ───► │ pdqi serve shard1 │  keys ≥ split
+//!                        │   merge    │      └──────────────────┘
+//!                        └────────────┘   each connection: one Client per shard,
+//!                                         opened at its first request
 //! ```
+//!
+//! # Fan-out
+//!
+//! Each coordinator connection owns one link per shard, so no client waits behind
+//! another client's request to the same shard. A request is answered on the
+//! connection's own thread: the fan-out writes the request frame to every shard it
+//! addresses before it reads any reply, so the shards work concurrently and nothing is
+//! spawned per request. A request that fails on an open link is sent once more on a
+//! fresh one (the protocol's requests are idempotent: set-semantics mutations,
+//! replacing priorities, re-`PREPARE`s); a shard that cannot be reached fails the
+//! request with an error naming it.
 //!
 //! # Merge rules
 //!
@@ -29,7 +40,8 @@
 //! | `EXEC … POSSIBLE`  | union of per-shard possible rows                           |
 //! | `EXEC … CLOSED`    | certainly-true = **or**, certainly-false = **and**; the    |
 //! |                    | `examined` counter replays from per-shard `PROFILE`s       |
-//! | `INSERT`/`DELETE`  | routed to the owning shard by key range, counts summed     |
+//! | `INSERT`/`DELETE`/ | routed by key range: one `MUTATE` per owning shard, counts |
+//! | `MUTATE`           | summed                                                     |
 //! | `SET-PRIORITY`     | global tuple ids translated by per-shard row offsets       |
 //!
 //! *Certain is a union, not an intersection*: a row certain on one shard appears in
@@ -55,7 +67,6 @@ use std::collections::{BTreeSet, HashMap};
 use std::io;
 use std::net::ToSocketAddrs;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use pdqi_core::shard_plan::type_value;
 use pdqi_core::{ClosedProfile, CqaOutcome, RouteSpec, ShardPlan};
@@ -64,63 +75,24 @@ use pdqi_query::classify::{classify, QueryClass};
 use pdqi_query::parse_formula;
 use pdqi_relation::{Value, ValueType};
 
-use crate::client::{Client, ClientError, ExecOutcome, TableDescription};
+use crate::client::{
+    parse_batch, parse_describe, parse_mutated, parse_tagged, Client, ClientError, ExecOutcome,
+    TableDescription,
+};
 use crate::protocol::{
     describe_response, exec_response, outcome_line, profile_line, rows_block, ExecMode, ExecSpec,
-    Prepared, PreparedMap, Request,
+    FrameError, Prepared, PreparedMap, Request,
 };
 use crate::transport::{listen, Handle, Handler, WireStats};
 
-/// Coordinator tuning knobs. There are none: every listener runs one accept thread.
-/// The type stays so that callers keep passing `CoordinatorConfig::default()`.
+/// Coordinator tuning knobs. There are none. The type stays so that callers keep
+/// passing `CoordinatorConfig::default()`.
 #[derive(Debug, Clone, Default)]
 pub struct CoordinatorConfig {}
 
-/// One shard endpoint: its address and a lazily-(re)connected [`Client`].
-struct ShardSlot {
-    index: usize,
-    addr: String,
-    client: Mutex<Option<Client>>,
-}
-
-impl ShardSlot {
-    /// Runs `f` on this shard's connection, reconnecting once on a transport error
-    /// (the protocol's requests are idempotent: set-semantics mutations, replacing
-    /// priorities, re-`PREPARE`s). Errors name the shard so a one-shard-down failure
-    /// is diagnosable from the merged `ERR` alone.
-    fn call<T>(&self, f: impl Fn(&mut Client) -> Result<T, ClientError>) -> Result<T, String> {
-        let mut guard = self.client.lock().expect("shard client lock");
-        for attempt in 0..2 {
-            if guard.is_none() {
-                match Client::connect(&*self.addr) {
-                    Ok(client) => *guard = Some(client),
-                    Err(e) => return Err(self.unreachable(&e.to_string())),
-                }
-            }
-            let client = guard.as_mut().expect("shard connection");
-            match f(client) {
-                Ok(value) => return Ok(value),
-                Err(ClientError::Frame(e)) => {
-                    // The connection is gone or desynchronised: drop it and retry
-                    // once on a fresh one before reporting the shard unreachable.
-                    *guard = None;
-                    if attempt == 1 {
-                        return Err(self.unreachable(&e.to_string()));
-                    }
-                }
-                Err(ClientError::Server(message)) => {
-                    return Err(format!("shard {} ({}): {message}", self.index, self.addr))
-                }
-                Err(e) => return Err(format!("shard {} ({}): {e}", self.index, self.addr)),
-            }
-        }
-        unreachable!("the retry loop returns on every path")
-    }
-
-    fn unreachable(&self, detail: &str) -> String {
-        format!("shard {} ({}) unreachable: {detail}", self.index, self.addr)
-    }
-}
+/// One connection's links to the shards, in shard order: a [`Client`] per shard,
+/// opened by the first request that addresses it and closed when it fails.
+type Links = Vec<Option<Client>>;
 
 /// One routed table: its typed key-range plan and the schema every shard agreed on.
 struct TableRoute {
@@ -141,10 +113,11 @@ struct CoordPrepared {
     ground: bool,
 }
 
-/// The state every connection of one coordinator shares: the shard connections, the
+/// The state every connection of one coordinator shares: the shard endpoints, the
 /// routes and the prepared queries.
 pub struct CoordinatorState {
-    shards: Vec<ShardSlot>,
+    /// The shard endpoints, in key-range order.
+    addrs: Vec<String>,
     routes: HashMap<String, TableRoute>,
     prepared: PreparedMap<CoordPrepared>,
     /// Last generation observed per shard (monotone via `fetch_max`): the `gens=`
@@ -199,26 +172,85 @@ impl CoordinatorState {
         Err(format!("ERR {failure}; applied on {}", applied.join(", ")))
     }
 
-    /// Fans `f` out to every shard concurrently and gathers per-shard results.
-    fn scatter<T: Send>(
+    /// Sends each `(shard, payload)` request over `links` and returns each shard's
+    /// reply, parsed by `parse`, in request order. Every frame is written before any
+    /// reply is read, so the shards work concurrently. Errors name the shard, so a
+    /// one-shard-down failure is diagnosable from the merged `ERR` alone.
+    fn fan_out<T>(
         &self,
-        f: impl Fn(usize, &mut Client) -> Result<T, ClientError> + Sync,
-    ) -> Vec<Result<T, String>> {
-        std::thread::scope(|scope| {
-            let f = &f;
-            let handles: Vec<_> = self
-                .shards
-                .iter()
-                .map(|slot| scope.spawn(move || slot.call(|client| f(slot.index, client))))
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| {
-                    handle.join().unwrap_or_else(|_| Err("shard worker panicked".to_string()))
-                })
-                .collect()
-        })
+        links: &mut [Option<Client>],
+        requests: Vec<(usize, String)>,
+        parse: impl Fn(&str) -> Result<T, ClientError>,
+    ) -> Vec<(usize, Result<T, String>)> {
+        let sent: Vec<Result<(), String>> = requests
+            .iter()
+            .map(|(shard, payload)| self.send(&mut links[*shard], *shard, payload))
+            .collect();
+        let mut replies = Vec::with_capacity(requests.len());
+        for ((shard, payload), sent) in requests.into_iter().zip(sent) {
+            let link = &mut links[shard];
+            let mut reply = sent.and_then(|()| receive(link));
+            // A request that failed on an open link goes once more on a fresh one; a
+            // failed connect leaves the link closed and is not retried.
+            if reply.is_err() && link.take().is_some() {
+                reply = self.send(link, shard, &payload).and_then(|()| receive(link));
+            }
+            let addr = &self.addrs[shard];
+            let parsed = match reply {
+                Err(detail) => {
+                    *link = None;
+                    Err(format!("shard {shard} ({addr}) unreachable: {detail}"))
+                }
+                Ok(reply) => match reply.strip_prefix("ERR ") {
+                    Some(message) => Err(format!("shard {shard} ({addr}): {message}")),
+                    None => parse(&reply).map_err(|e| format!("shard {shard} ({addr}): {e}")),
+                },
+            };
+            replies.push((shard, parsed));
+        }
+        replies
     }
+
+    /// Sends `request` to every shard and returns the replies in shard order, noting
+    /// the generation `parse` reads off each, or the first shard's error.
+    fn gather<T>(
+        &self,
+        links: &mut [Option<Client>],
+        request: &Request,
+        parse: impl Fn(&str) -> Result<(T, u64), ClientError>,
+    ) -> Result<Vec<T>, String> {
+        let payload = request.render();
+        let requests = (0..self.addrs.len()).map(|shard| (shard, payload.clone())).collect();
+        let mut replies = Vec::with_capacity(self.addrs.len());
+        for (shard, reply) in self.fan_out(links, requests, parse) {
+            let (reply, generation) = reply?;
+            self.note_gen(shard, generation);
+            replies.push(reply);
+        }
+        Ok(replies)
+    }
+
+    /// Writes `payload` to `shard`, opening its link first if it is closed (a failed
+    /// connect leaves it closed). Errors are the detail of an unreachable shard.
+    fn send(&self, link: &mut Option<Client>, shard: usize, payload: &str) -> Result<(), String> {
+        if link.is_none() {
+            *link = Some(Client::connect(&*self.addrs[shard]).map_err(|e| e.to_string())?);
+        }
+        let client = link.as_mut().expect("an open link");
+        client.send(payload).map_err(|e| FrameError::Io(e).to_string())
+    }
+}
+
+/// Reads the reply to the request just sent on `link`.
+fn receive(link: &mut Option<Client>) -> Result<String, String> {
+    link.as_mut().expect("a sent request has an open link").receive().map_err(|e| e.to_string())
+}
+
+/// A `DESCRIBE` reply and its generation, for [`CoordinatorState::gather`].
+fn described(reply: &str) -> Result<(TableDescription, u64), ClientError> {
+    let description = parse_describe(reply)?;
+    let generation = description.generation;
+    Ok((description, generation))
 }
 
 /// A handle on a running coordinator: its address, a shutdown trigger and a join
@@ -245,38 +277,32 @@ pub fn coordinate(
             "a coordinator needs at least one shard endpoint",
         ));
     }
-    let shards: Vec<ShardSlot> = shard_addrs
-        .iter()
-        .enumerate()
-        .map(|(index, addr)| ShardSlot { index, addr: addr.clone(), client: Mutex::new(None) })
-        .collect();
-    let gens: Vec<AtomicU64> = shard_addrs.iter().map(|_| AtomicU64::new(0)).collect();
-    let mut table_routes = HashMap::new();
+    let mut state = CoordinatorState {
+        addrs: shard_addrs.to_vec(),
+        routes: HashMap::new(),
+        prepared: PreparedMap::new(),
+        gens: shard_addrs.iter().map(|_| AtomicU64::new(0)).collect(),
+    };
+    let mut links = state.open();
     for route in routes {
-        if route.splits.len() + 1 != shards.len() {
+        if route.splits.len() + 1 != shard_addrs.len() {
             return Err(io::Error::other(format!(
                 "route `{route}` carves {} shard range(s) but {} shard endpoint(s) were given",
                 route.splits.len() + 1,
-                shards.len()
+                shard_addrs.len()
             )));
         }
-        let mut agreed: Option<Vec<(String, ValueType)>> = None;
-        for slot in &shards {
-            let description =
-                slot.call(|client| client.describe(&route.table)).map_err(io::Error::other)?;
-            gens[slot.index].fetch_max(description.generation, Ordering::Relaxed);
-            match &agreed {
-                None => agreed = Some(description.columns),
-                Some(columns) if *columns == description.columns => {}
-                Some(_) => {
-                    return Err(io::Error::other(format!(
-                        "shard {} ({}) disagrees on `{}`'s schema",
-                        slot.index, slot.addr, route.table
-                    )))
-                }
-            }
+        let describe = Request::Describe { table: route.table.clone() };
+        let descriptions =
+            state.gather(&mut links, &describe, described).map_err(io::Error::other)?;
+        if let Some(shard) = descriptions.iter().position(|d| d.columns != descriptions[0].columns)
+        {
+            return Err(io::Error::other(format!(
+                "shard {shard} ({}) disagrees on `{}`'s schema",
+                shard_addrs[shard], route.table
+            )));
         }
-        let columns = agreed.expect("at least one shard");
+        let columns = descriptions.into_iter().next().expect("at least one shard").columns;
         let Some(key_column) = columns.iter().position(|(name, _)| *name == route.key_column)
         else {
             return Err(io::Error::other(format!(
@@ -287,75 +313,59 @@ pub fn coordinate(
         let plan = route
             .typed(key_column, columns[key_column].1)
             .map_err(|e| io::Error::other(format!("route `{route}`: {e}")))?;
-        table_routes.insert(route.table.clone(), TableRoute { plan, columns });
+        state.routes.insert(route.table.clone(), TableRoute { plan, columns });
     }
-    let state =
-        CoordinatorState { shards, routes: table_routes, prepared: PreparedMap::new(), gens };
     listen(addr, state)
 }
 
 impl Handler for CoordinatorState {
-    /// Subscriptions are not proxied, so a connection has no state of its own.
-    type Connection = ();
+    /// The connection's shard links, opened by its first request.
+    type Connection = Links;
 
-    fn open(&self) {}
+    fn open(&self) -> Links {
+        self.addrs.iter().map(|_| None).collect()
+    }
 
-    /// Answers one well-formed request by scattering it over the shards and merging.
-    fn dispatch(&self, _: &mut (), request: &Request, wire: &WireStats) -> String {
+    /// Answers one well-formed request by fanning it out over the shards and merging.
+    fn dispatch(&self, links: &mut Links, request: &Request, wire: &WireStats) -> String {
         match request {
             Request::Ping => "OK pong".to_string(),
-            Request::Prepare { id, query } => prepare(self, id, query),
+            Request::Prepare { id, query } => prepare(self, links, id, query),
             Request::Exec(spec) => {
-                exec_response(run_specs(self, std::slice::from_ref(spec)), false)
+                exec_response(run_specs(self, links, std::slice::from_ref(spec)), false)
             }
-            Request::Batch(specs) => exec_response(run_specs(self, specs), true),
+            Request::Batch(specs) => exec_response(run_specs(self, links, specs), true),
             Request::Insert { table, rows } => {
-                route_mutation(self, table, rows, &[], MutationOp::Insert)
+                route_mutation(self, links, table, rows, &[], |i, _| format!("inserted {i}"))
             }
             Request::Delete { table, rows } => {
-                route_mutation(self, table, rows, &[], MutationOp::Delete)
+                route_mutation(self, links, table, &[], rows, |_, d| format!("deleted {d}"))
             }
             Request::Mutate { table, inserts, deletes } => {
-                route_mutation(self, table, inserts, deletes, MutationOp::Mixed)
+                route_mutation(self, links, table, inserts, deletes, |i, d| {
+                    format!("mutated inserted {i} deleted {d}")
+                })
             }
-            Request::SetPriority { table, pairs } => set_priority(self, table, pairs),
-            Request::Describe { table } => {
-                let results = self.scatter(|_, client| client.describe(table));
-                let mut rows = 0;
-                let mut columns = Vec::new();
-                for (shard, result) in results.into_iter().enumerate() {
-                    match result {
-                        Err(message) => return format!("ERR {message}"),
-                        Ok(description) => {
-                            self.note_gen(shard, description.generation);
-                            rows += description.rows;
-                            if shard == 0 {
-                                columns = description.columns;
-                            }
-                        }
-                    }
-                }
-                describe_response(
+            Request::SetPriority { table, pairs } => set_priority(self, links, table, pairs),
+            Request::Describe { table } => match self.gather(links, request, described) {
+                Err(message) => format!("ERR {message}"),
+                Ok(descriptions) => describe_response(
                     table,
-                    rows,
+                    descriptions.iter().map(|description| description.rows).sum(),
                     &self.gen_tags(),
-                    columns.iter().map(|(name, ty)| (name.as_str(), *ty)),
-                )
-            }
+                    descriptions[0].columns.iter().map(|(name, ty)| (name.as_str(), *ty)),
+                ),
+            },
             Request::Stats => {
                 let mut out = format!(
                     "OK stats shards={} routes={} prepared={} {wire}",
-                    self.shards.len(),
+                    self.addrs.len(),
                     self.routes.len(),
                     self.prepared.len(),
                 );
-                for slot in &self.shards {
-                    out.push_str(&format!(
-                        "\nshard {} addr={} gen={}",
-                        slot.index,
-                        slot.addr,
-                        self.gens[slot.index].load(Ordering::Relaxed),
-                    ));
+                for (shard, addr) in self.addrs.iter().enumerate() {
+                    let generation = self.gens[shard].load(Ordering::Relaxed);
+                    out.push_str(&format!("\nshard {shard} addr={addr} gen={generation}"));
                 }
                 out
             }
@@ -375,7 +385,7 @@ impl Handler for CoordinatorState {
             }
             Request::Explain { .. } => {
                 // Each shard plans against its own snapshot and cardinalities; there is
-                // no single merged physical plan to report for the scattered execution.
+                // no single merged physical plan to report for the fanned-out execution.
                 "ERR EXPLAIN is not supported through the coordinator (each shard plans \
                  independently; connect to a shard directly)"
                     .to_string()
@@ -393,7 +403,7 @@ impl Handler for CoordinatorState {
 /// per-repair evaluation is the union of per-shard evaluations and the merge rules
 /// of the [module docs](self) are exact. Joins and negation would need cross-shard
 /// evaluation the coordinator deliberately does not do.
-fn prepare(state: &CoordinatorState, id: &str, query: &str) -> String {
+fn prepare(state: &CoordinatorState, links: &mut Links, id: &str, query: &str) -> String {
     let formula = match parse_formula(query) {
         Ok(formula) => formula,
         Err(e) => return format!("ERR query error: {e}"),
@@ -444,11 +454,10 @@ fn prepare(state: &CoordinatorState, id: &str, query: &str) -> String {
         free_types.push(route.columns[position].1);
     }
     let ground = classify(&formula) == QueryClass::Ground;
-    let results = state.scatter(|_, client| client.prepare(id, query));
-    for result in results {
-        if let Err(message) = result {
-            return format!("ERR {message}");
-        }
+    let request = Request::Prepare { id: id.to_string(), query: query.to_string() };
+    // A `PREPARE` reply carries no generation; noting 0 leaves the vector as it is.
+    if let Err(message) = state.gather(links, &request, |_| Ok(((), 0))) {
+        return format!("ERR {message}");
     }
     let response = format!("OK prepared {id} table={table} columns={}", free.join(","));
     state
@@ -479,6 +488,7 @@ fn collect_atoms<'a>(formula: &'a Formula, out: &mut Vec<&'a pdqi_query::ast::At
 /// entry back into a rendered response block.
 fn run_specs(
     state: &CoordinatorState,
+    links: &mut Links,
     specs: &[ExecSpec],
 ) -> Result<(Vec<String>, String), String> {
     let entries = state.prepared.resolve(specs)?;
@@ -500,13 +510,8 @@ fn run_specs(
             ExecSpec { id: spec.id.clone(), family: spec.family, mode }
         })
         .collect();
-    let results = state.scatter(|_, client| client.batch(shard_specs.clone()));
-    let mut per_shard: Vec<Vec<ExecOutcome>> = Vec::with_capacity(results.len());
-    for (shard, result) in results.into_iter().enumerate() {
-        let (outcomes, generation) = result?;
-        state.note_gen(shard, generation);
-        per_shard.push(outcomes);
-    }
+    let per_shard = state
+        .gather(links, &Request::Batch(shard_specs), |reply| parse_batch(reply, specs.len()))?;
     let blocks = specs
         .iter()
         .zip(&entries)
@@ -626,31 +631,24 @@ fn merge_profiles(shards: &[&ExecOutcome]) -> Result<ClosedProfile, String> {
     Ok(ClosedProfile { total, first_true, first_false })
 }
 
-/// Which mutation request [`route_mutation`] is routing.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum MutationOp {
-    Insert,
-    Delete,
-    /// A `MUTATE` request: `primary` holds the inserts, `deletes` the deletes.
-    Mixed,
-}
-
 /// Routes `INSERT`/`DELETE`/`MUTATE` rows to their owning shards by key range and
-/// applies them there; untouched shards are skipped entirely (no generation bump —
-/// exactly the rows' owners swap).
+/// applies each shard's part there as one `MUTATE`; untouched shards are skipped
+/// entirely (no generation bump — exactly the rows' owners swap). `answer` renders
+/// the summed `(inserted, deleted)` counts.
 fn route_mutation(
     state: &CoordinatorState,
+    links: &mut Links,
     table: &str,
-    primary: &[Vec<String>],
+    inserts: &[Vec<String>],
     deletes: &[Vec<String>],
-    op: MutationOp,
+    answer: impl Fn(usize, usize) -> String,
 ) -> String {
     let route = match state.route(table) {
         Ok(route) => route,
         Err(message) => return message,
     };
     let bucket = |rows: &[Vec<String>]| -> Result<Vec<Vec<Vec<String>>>, String> {
-        let mut buckets = vec![Vec::new(); state.shards.len()];
+        let mut buckets = vec![Vec::new(); state.addrs.len()];
         for row in rows {
             if row.len() != route.columns.len() {
                 return Err(format!(
@@ -671,75 +669,40 @@ fn route_mutation(
         }
         Ok(buckets)
     };
-    let primary_buckets = match bucket(primary) {
-        Ok(buckets) => buckets,
-        Err(message) => return format!("ERR {message}"),
+    let (insert_buckets, delete_buckets) = match (bucket(inserts), bucket(deletes)) {
+        (Ok(insert_buckets), Ok(delete_buckets)) => (insert_buckets, delete_buckets),
+        (Err(message), _) | (_, Err(message)) => return format!("ERR {message}"),
     };
-    let delete_buckets = match bucket(deletes) {
-        Ok(buckets) => buckets,
-        Err(message) => return format!("ERR {message}"),
-    };
-    let mut inserted = 0usize;
-    let mut deleted = 0usize;
-    // (inserted, deleted, generation) from the shards that received rows.
-    type ShardWrite = Result<(usize, usize, u64), String>;
-    let results: Vec<Option<ShardWrite>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = state
-            .shards
-            .iter()
-            .map(|slot| {
-                let rows = &primary_buckets[slot.index];
-                let dels = &delete_buckets[slot.index];
-                if rows.is_empty() && dels.is_empty() {
-                    return None;
-                }
-                Some(scope.spawn(move || {
-                    slot.call(|client| match op {
-                        MutationOp::Mixed => client.mutate(table, rows, dels),
-                        MutationOp::Insert => {
-                            client.insert(table, rows).map(|(i, gen)| (i, 0, gen))
-                        }
-                        MutationOp::Delete => {
-                            client.delete(table, rows).map(|(d, gen)| (0, d, gen))
-                        }
-                    })
-                }))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| {
-                handle
-                    .map(|h| h.join().unwrap_or_else(|_| Err("shard worker panicked".to_string())))
-            })
-            .collect()
-    });
-    let mut writes = Vec::new();
-    for (shard, result) in results.into_iter().enumerate() {
-        let Some(write) = result else { continue };
-        writes.push((
-            shard,
-            write.map(|(i, d, generation)| {
+    let requests: Vec<(usize, String)> = insert_buckets
+        .into_iter()
+        .zip(delete_buckets)
+        .enumerate()
+        .filter(|(_, (inserts, deletes))| !inserts.is_empty() || !deletes.is_empty())
+        .map(|(shard, (inserts, deletes))| {
+            (shard, Request::Mutate { table: table.to_string(), inserts, deletes }.render())
+        })
+        .collect();
+    let (mut inserted, mut deleted) = (0, 0);
+    let writes = state
+        .fan_out(links, requests, parse_mutated)
+        .into_iter()
+        .map(|(shard, write)| {
+            let generation = write.map(|(i, d, generation)| {
                 inserted += i;
                 deleted += d;
                 generation
-            }),
-        ));
-    }
-    if let Err(message) = state.settle(writes) {
-        return message;
-    }
-    match op {
-        MutationOp::Mixed => {
-            format!("OK mutated inserted {inserted} deleted {deleted} {}", state.gen_tags())
-        }
-        MutationOp::Insert => format!("OK inserted {inserted} {}", state.gen_tags()),
-        MutationOp::Delete => format!("OK deleted {deleted} {}", state.gen_tags()),
+            });
+            (shard, generation)
+        })
+        .collect();
+    match state.settle(writes) {
+        Ok(()) => format!("OK {} {}", answer(inserted, deleted), state.gen_tags()),
+        Err(message) => message,
     }
 }
 
 /// Translates global tuple-id pairs into per-shard local ids and replaces every
-/// shard's priority in one scatter.
+/// shard's priority in one fan-out.
 ///
 /// The coordinator's global tuple-id space is the concatenation of the shard row
 /// blocks in shard order, so the translation needs the shards' **current** row
@@ -747,35 +710,33 @@ fn route_mutation(
 /// shift the offsets. A pair whose endpoints live on different shards is rejected:
 /// cross-shard tuples share no conflict component, so no preference between them can
 /// affect any repair (the mirror would simply reject the non-edge pair too).
-fn set_priority(state: &CoordinatorState, table: &str, pairs: &[(u32, u32)]) -> String {
+fn set_priority(
+    state: &CoordinatorState,
+    links: &mut Links,
+    table: &str,
+    pairs: &[(u32, u32)],
+) -> String {
     if let Err(message) = state.route(table) {
         return message;
     }
-    let descriptions = state.scatter(|_, client| client.describe(table));
-    let mut counts = Vec::with_capacity(descriptions.len());
-    for (shard, result) in descriptions.into_iter().enumerate() {
-        match result {
-            Err(message) => return format!("ERR {message}"),
-            Ok(TableDescription { rows, generation, .. }) => {
-                state.note_gen(shard, generation);
-                counts.push(rows as u64);
-            }
-        }
+    let describe = Request::Describe { table: table.to_string() };
+    let descriptions = match state.gather(links, &describe, described) {
+        Ok(descriptions) => descriptions,
+        Err(message) => return format!("ERR {message}"),
+    };
+    let mut offsets = Vec::with_capacity(descriptions.len());
+    let mut total = 0u64;
+    for description in &descriptions {
+        offsets.push(total);
+        total += description.rows as u64;
     }
-    let mut offsets = Vec::with_capacity(counts.len());
-    let mut at = 0u64;
-    for &count in &counts {
-        offsets.push(at);
-        at += count;
-    }
-    let total = at;
     let shard_of = |id: u32| -> Result<usize, String> {
         if u64::from(id) >= total {
             return Err(format!("tuple id {id} is out of range (the table has {total} row(s))"));
         }
         Ok(offsets.partition_point(|&offset| offset <= u64::from(id)) - 1)
     };
-    let mut shard_pairs: Vec<Vec<(u32, u32)>> = vec![Vec::new(); state.shards.len()];
+    let mut shard_pairs: Vec<Vec<(u32, u32)>> = vec![Vec::new(); state.addrs.len()];
     for &(winner, loser) in pairs {
         let (ws, ls) = match (shard_of(winner), shard_of(loser)) {
             (Ok(ws), Ok(ls)) => (ws, ls),
@@ -795,8 +756,14 @@ fn set_priority(state: &CoordinatorState, table: &str, pairs: &[(u32, u32)]) -> 
     // SET-PRIORITY replaces the table's whole priority, so every shard swaps — a
     // shard with no pair of its own installs the empty priority, exactly as the
     // mirror replaces preferences for tuples the pair list no longer mentions.
-    let results = state.scatter(|shard, client| client.set_priority(table, &shard_pairs[shard]));
-    match state.settle(results.into_iter().enumerate().collect()) {
+    let requests = shard_pairs
+        .into_iter()
+        .enumerate()
+        .map(|(shard, pairs)| {
+            (shard, Request::SetPriority { table: table.to_string(), pairs }.render())
+        })
+        .collect();
+    match state.settle(state.fan_out(links, requests, |reply| parse_tagged(reply, "gen"))) {
         Ok(()) => format!("OK swapped {table} {}", state.gen_tags()),
         Err(message) => message,
     }

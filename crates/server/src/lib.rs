@@ -32,11 +32,12 @@
 //! responses; [`Client`] buffers them and hands them out as typed [`PushEvent`]s.
 //!
 //! Everything is plain [`std`]: no async runtime exists in this build environment, so
-//! concurrency is one accept thread per listener plus a thread per connection, and all
-//! sharing goes through the same `Arc`/atomic structures the in-process serving path
-//! uses. The protocol guarantees of the in-process API carry over: every request is
-//! answered against **one** pinned snapshot generation, and priority swaps never block
-//! in-flight readers.
+//! concurrency is one accept thread per listener plus a thread per connection, for the
+//! server and the coordinator alike (a coordinator connection answers each request on
+//! its own thread over its own shard links), and all sharing goes through the same
+//! `Arc`/atomic structures the in-process serving path uses. The protocol guarantees of
+//! the in-process API carry over: every request is answered against **one** pinned
+//! snapshot generation, and priority swaps never block in-flight readers.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

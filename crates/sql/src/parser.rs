@@ -196,8 +196,10 @@ fn lex(input: &str) -> Result<Vec<Token>, SqlParseError> {
                 }
             }
             '\'' => {
-                i += 1;
-                let mut text = String::new();
+                // Quotes are ASCII, so both ends of the literal are char boundaries and
+                // the slice between them is the literal's UTF-8 text.
+                let start = i + 1;
+                i = start;
                 loop {
                     match bytes.get(i) {
                         None => {
@@ -205,21 +207,13 @@ fn lex(input: &str) -> Result<Vec<Token>, SqlParseError> {
                                 message: "unterminated string literal".to_string(),
                             })
                         }
-                        Some(&b'\'') if bytes.get(i + 1) == Some(&b'\'') => {
-                            text.push('\'');
-                            i += 2;
-                        }
-                        Some(&b'\'') => {
-                            i += 1;
-                            break;
-                        }
-                        Some(&b) => {
-                            text.push(b as char);
-                            i += 1;
-                        }
+                        Some(&b'\'') if bytes.get(i + 1) == Some(&b'\'') => i += 2,
+                        Some(&b'\'') => break,
+                        Some(_) => i += 1,
                     }
                 }
-                tokens.push(Token::Text(text));
+                tokens.push(Token::Text(input[start..i].replace("''", "'")));
+                i += 1;
             }
             _ if c.is_ascii_digit() => {
                 let start = i;
@@ -529,6 +523,14 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn text_literals_keep_their_utf8_characters() {
+        let stmt = parse_statement("INSERT INTO T VALUES ('café', 'naïve ''Ω''');").unwrap();
+        let Statement::Insert { rows, .. } = stmt else { panic!("unexpected {stmt:?}") };
+        assert_eq!(rows, vec![vec![Value::name("café"), Value::name("naïve 'Ω'")]]);
+        assert!(parse_statement("INSERT INTO T VALUES ('café);").is_err());
     }
 
     #[test]

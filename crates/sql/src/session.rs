@@ -1124,6 +1124,18 @@ mod tests {
     }
 
     #[test]
+    fn non_ascii_text_reads_back_as_written() {
+        let mut session = Session::new();
+        session
+            .execute_script("CREATE TABLE C (K TEXT); INSERT INTO C VALUES ('café'), ('日本');")
+            .unwrap();
+        let result = rows(session.execute("SELECT K FROM C").unwrap());
+        assert_eq!(result.rows, vec![vec![Value::name("café")], vec![Value::name("日本")]]);
+        let matched = rows(session.execute("SELECT K FROM C WHERE K = 'café'").unwrap());
+        assert_eq!(matched.rows, vec![vec![Value::name("café")]]);
+    }
+
+    #[test]
     fn a_session_queries_tables_a_sibling_defined() {
         let registry = SnapshotRegistry::shared();
         let mut writer = Session::with_registry(Arc::clone(&registry));

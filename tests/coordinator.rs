@@ -1,6 +1,6 @@
 //! The scatter-gather coordinator end to end: bit-identity to single-snapshot
-//! execution across shard counts, mutation routing, failure surfacing, and
-//! generation-vector monotonicity.
+//! execution across shard counts, mutation routing, failure surfacing, per-connection
+//! shard links, and generation-vector monotonicity.
 //!
 //! The pinned acceptance property is the coordinator's whole reason to exist: for
 //! every query family and both semantics, a coordinator over 2, 3 or 4 key-range
@@ -8,7 +8,8 @@
 //! executing the same prepared query on one snapshot holding all the rows — and the
 //! identity survives interleaved cross-shard INSERT/DELETE and priority revisions.
 
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 use pdqi::datagen::{key_range_split, multi_chain_instance};
 use pdqi::server::{
@@ -390,5 +391,73 @@ fn generation_vectors_are_per_shard_monotone_under_a_concurrent_writer() {
         writer.join().unwrap();
         reader.join().unwrap();
     });
+    cluster.stop();
+}
+
+#[test]
+fn one_clients_stalled_request_does_not_block_another_client() {
+    let (instance, fds) = multi_chain_instance(4, 4);
+    let (parts, plan) = key_range_split(&instance, &fds, "A", 2).unwrap();
+    let cluster = Cluster::launch(&parts, &fds, &plan);
+    let mut reader = cluster.client();
+    reader.prepare("q", "EXISTS b,c,d . R(x,b,c,d)").unwrap();
+    let before = reader.exec("q", FamilyKind::Rep, ExecMode::Certain).unwrap();
+    let mut writer = cluster.client();
+    let mut shard0 = Client::connect(cluster.shard_addrs[0].as_str()).unwrap();
+    let registry = cluster.shard_handles[0].registry();
+    let key = parts[0].iter().next().unwrap().1.values()[0].clone();
+    let row = as_strings(&[key, Value::int(9), Value::int(9_500_000), Value::int(9)]);
+    let (hold, held) = mpsc::channel();
+    let (release, released) = mpsc::channel::<()>();
+    let (answer, answered) = mpsc::channel();
+
+    std::thread::scope(|scope| {
+        // A commit that holds shard 0's revision lock until it is released (or the
+        // test unwinds and drops `release`).
+        scope.spawn(move || {
+            let _ = registry.commit("R", None, Parallelism::sequential(), |_| {
+                hold.send(()).unwrap();
+                let _ = released.recv();
+                Err::<Change, _>("released")
+            });
+        });
+        held.recv().unwrap();
+        // One client's INSERT, routed to shard 0, stalls behind that lock.
+        let write = scope.spawn(move || writer.insert("R", &[row]));
+        while shard0.write_stats().unwrap().frames < 1 {
+            std::thread::yield_now();
+        }
+        // A second client's read also needs shard 0, and must still be answered.
+        scope.spawn(move || answer.send(reader.exec("q", FamilyKind::Rep, ExecMode::Certain)));
+        let read = answered.recv_timeout(Duration::from_secs(10));
+        release.send(()).unwrap();
+        let read = read.expect("the read waited behind another client's stalled write");
+        assert_eq!(read.unwrap(), before);
+        assert_eq!(write.join().unwrap().unwrap().0, 1);
+    });
+    cluster.stop();
+}
+
+#[test]
+fn a_connection_reconnects_once_to_a_restarted_shard() {
+    let (instance, fds) = multi_chain_instance(4, 4);
+    let (parts, plan) = key_range_split(&instance, &fds, "A", 2).unwrap();
+    let mut cluster = Cluster::launch(&parts, &fds, &plan);
+    let mut client = cluster.client();
+    let query = "EXISTS b,c,d . R(x,b,c,d)";
+    client.prepare("q", query).unwrap();
+    let (before, _) = client.exec("q", FamilyKind::Global, ExecMode::Certain).unwrap();
+
+    // Restart shard 1 on its address with the same rows: the coordinator connection's
+    // link to it is dead, and the new server knows no prepared query.
+    cluster.shard_handles.remove(1).shutdown();
+    let registry = SnapshotRegistry::shared();
+    registry.publish("R", EngineBuilder::new().relation(parts[1].clone(), fds).build().unwrap());
+    let restarted = serve(cluster.shard_addrs[1].as_str(), registry, ServerConfig::default());
+    cluster.shard_handles.push(restarted.unwrap());
+
+    client.prepare("q", query).unwrap();
+    let (after, _) = client.exec("q", FamilyKind::Global, ExecMode::Certain).unwrap();
+    assert_eq!(after, before);
     cluster.stop();
 }
