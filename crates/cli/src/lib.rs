@@ -25,7 +25,7 @@ use pdqi_core::{
     SubscribeOptions, SubscriptionEvent, MAX_THREADS,
 };
 use pdqi_relation::{RelationInstance, TupleSet};
-use pdqi_sql::{Session, SqlError, StatementOutcome};
+use pdqi_sql::{split_script, Session, SqlError, StatementOutcome};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -99,48 +99,53 @@ impl Interpreter {
     }
 
     /// Interprets one line (SQL statements or a meta command) and returns the text to
-    /// print. SQL runs through [`Session::execute_script`], so `;` separates statements
-    /// and `--` starts a comment, as in any script; blank lines produce no output.
+    /// print. SQL is split by [`split_script`], as [`Session::execute_script`] splits a
+    /// script, so `;` separates statements and `--` starts a comment; blank lines
+    /// produce no output.
     pub fn run_line(&mut self, line: &str) -> Result<String, CliError> {
         let mut output = String::new();
-        if let Some(command) = line.trim().strip_prefix('.') {
-            output = self.run_meta(command.trim_end_matches(';'))?;
-        } else {
-            for outcome in self.session.execute_script(line)? {
-                if !output.is_empty() && !output.ends_with('\n') {
-                    output.push('\n');
-                }
-                output.push_str(&render_outcome(&outcome));
+        self.run_line_into(line, &mut output).map(|()| output)
+    }
+
+    /// [`Interpreter::run_line`], appending to `output` as each statement runs: when a
+    /// statement fails, `output` already holds what the statements before it printed
+    /// (they took effect).
+    fn run_line_into(&mut self, line: &str, output: &mut String) -> Result<(), CliError> {
+        let ran = match line.trim().strip_prefix('.') {
+            Some(command) => {
+                self.run_meta(command.trim_end_matches(';')).map(|text| push_block(output, &text))
             }
-        }
+            None => split_script(line).iter().try_for_each(|statement| {
+                let outcome = self.session.execute(statement)?;
+                push_block(output, &render_outcome(&outcome));
+                Ok(())
+            }),
+        };
         // Continuous queries piggyback on the interactive loop: any swap the line
         // caused (INSERT, DELETE, PREFER, …) queued events — print them right away.
         for (id, event) in self.session.drain_subscription_events() {
-            if !output.is_empty() && !output.ends_with('\n') {
-                output.push('\n');
-            }
-            output.push_str(&render_subscription_event(id, &event));
+            push_block(output, &render_subscription_event(id, &event));
         }
-        Ok(output)
+        ran
     }
 
     /// Interprets a whole script, accumulating the output of every line. Errors are
-    /// reported inline (prefixed with `error:`) and do not abort the rest of the script,
-    /// matching the behaviour of interactive use.
+    /// reported inline (prefixed with `error:`), after the output of the statements
+    /// that ran before them, and do not abort the rest of the script, matching the
+    /// behaviour of interactive use.
     pub fn run_script(&mut self, script: &str) -> String {
         let mut out = String::new();
         for line in script.lines() {
-            match self.run_line(line) {
-                Ok(text) if text.is_empty() => {}
-                Ok(text) => {
-                    out.push_str(&text);
-                    if !text.ends_with('\n') {
-                        out.push('\n');
-                    }
+            let mut text = String::new();
+            let ran = self.run_line_into(line, &mut text);
+            if !text.is_empty() {
+                out.push_str(&text);
+                if !text.ends_with('\n') {
+                    out.push('\n');
                 }
-                Err(e) => {
-                    let _ = writeln!(out, "error: {e}");
-                }
+            }
+            if let Err(e) = ran {
+                let _ = writeln!(out, "error: {e}");
             }
         }
         out
@@ -816,6 +821,14 @@ fn render_push_event(event: &pdqi_server::PushEvent) -> String {
     out
 }
 
+/// Appends `text` to `output` on a line of its own.
+fn push_block(output: &mut String, text: &str) {
+    if !output.is_empty() && !output.ends_with('\n') {
+        output.push('\n');
+    }
+    output.push_str(text);
+}
+
 fn render_outcome(outcome: &StatementOutcome) -> String {
     match outcome {
         StatementOutcome::Created => "table created".to_string(),
@@ -922,6 +935,20 @@ mod tests {
         assert!(output.lines().any(|line| line == "café"), "{output}");
         assert!(output.lines().any(|line| line == "a;b -- kept"), "{output}");
         assert!(interpreter.run_line(".count C;").unwrap().contains("1 repair(s)"));
+    }
+
+    #[test]
+    fn statements_before_a_failing_one_keep_their_output() {
+        let mut interpreter = Interpreter::new();
+        let output = interpreter.run_script(
+            "CREATE TABLE C (K TEXT); INSERT INTO C VALUES ('x'); SELECT K FROM Nope;\n\
+             SELECT K FROM C;",
+        );
+        let lines: Vec<&str> = output.lines().collect();
+        let error = lines.iter().position(|line| line.starts_with("error:")).expect(&output);
+        assert_eq!(lines[..error], ["table created", "1 row(s) inserted"], "{output}");
+        assert!(lines[error].contains("Nope"), "{output}");
+        assert!(lines[error + 1..].contains(&"x"), "{output}");
     }
 
     #[test]

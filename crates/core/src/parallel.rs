@@ -13,11 +13,12 @@
 //!   per-component enumeration out across workers (components are independent jobs and
 //!   each component's preferred repairs are a deterministic function of the snapshot);
 //! * [`PreparedQuery::execute_with`](crate::PreparedQuery::execute_with) and
-//!   [`PreparedQuery::consistent_answer_with`](crate::PreparedQuery::consistent_answer_with)
-//!   split the cartesian repair product into contiguous chunks, fold each chunk on a
-//!   worker, and merge the folds in chunk order — set union/intersection make the merge
-//!   order-insensitive, and closed profiles concatenate in enumeration order so even
-//!   the `examined` counter matches the sequential path. A chunk is cut short only
+//!   [`PreparedQuery::closed_profile_with`](crate::PreparedQuery::closed_profile_with)
+//!   (behind every closed outcome) split the cartesian repair product into contiguous
+//!   chunks, fold each chunk on a worker, and merge the folds in chunk order — set
+//!   union/intersection make the merge order-insensitive, and closed profiles
+//!   concatenate in enumeration order so even the `examined` counter matches the
+//!   sequential path. A chunk is cut short only
 //!   when an earlier chunk already settled the answer, and an evaluation error re-runs
 //!   the walk as one chunk, so errors match the sequential path too;
 //! * [`BatchExecutor`] answers many prepared queries against one shared snapshot
@@ -39,7 +40,7 @@ use pdqi_query::QueryError;
 
 use crate::cqa::CqaOutcome;
 use crate::families::FamilyKind;
-use crate::prepared::{AnswerSet, PreparedQuery, Semantics};
+use crate::prepared::{AnswerSet, ClosedProfile, PreparedQuery, Semantics};
 use crate::snapshot::EngineSnapshot;
 
 /// How many worker threads an operation may use.
@@ -165,6 +166,13 @@ pub enum BatchRequest {
         /// The family of preferred repairs to quantify over.
         family: FamilyKind,
     },
+    /// Compute the enumeration-order [`ClosedProfile`] of a closed query.
+    Profile {
+        /// The prepared (closed) query.
+        query: Arc<PreparedQuery>,
+        /// The family of preferred repairs to quantify over.
+        family: FamilyKind,
+    },
 }
 
 impl BatchRequest {
@@ -177,6 +185,30 @@ impl BatchRequest {
     pub fn consistent_answer(query: Arc<PreparedQuery>, family: FamilyKind) -> Self {
         BatchRequest::ConsistentAnswer { query, family }
     }
+
+    /// Convenience constructor for [`BatchRequest::Profile`].
+    pub fn profile(query: Arc<PreparedQuery>, family: FamilyKind) -> Self {
+        BatchRequest::Profile { query, family }
+    }
+
+    /// Answers this request on `snapshot` with `parallelism` workers.
+    fn answer(
+        &self,
+        snapshot: &EngineSnapshot,
+        parallelism: Parallelism,
+    ) -> Result<BatchResponse, QueryError> {
+        match self {
+            BatchRequest::Execute { query, family, semantics } => query
+                .execute_with(snapshot, *family, *semantics, parallelism)
+                .map(BatchResponse::Rows),
+            BatchRequest::ConsistentAnswer { query, family } => query
+                .consistent_answer_with(snapshot, *family, parallelism)
+                .map(BatchResponse::Outcome),
+            BatchRequest::Profile { query, family } => query
+                .closed_profile_with(snapshot, *family, parallelism)
+                .map(BatchResponse::Profile),
+        }
+    }
 }
 
 /// One successful batch result, mirroring the request shape.
@@ -186,6 +218,8 @@ pub enum BatchResponse {
     Rows(AnswerSet),
     /// Result of a [`BatchRequest::ConsistentAnswer`] request.
     Outcome(CqaOutcome),
+    /// Result of a [`BatchRequest::Profile`] request.
+    Profile(ClosedProfile),
 }
 
 impl BatchResponse {
@@ -193,7 +227,7 @@ impl BatchResponse {
     pub fn rows(&self) -> Option<&AnswerSet> {
         match self {
             BatchResponse::Rows(answers) => Some(answers),
-            BatchResponse::Outcome(_) => None,
+            _ => None,
         }
     }
 
@@ -201,21 +235,23 @@ impl BatchResponse {
     pub fn outcome(&self) -> Option<CqaOutcome> {
         match self {
             BatchResponse::Outcome(outcome) => Some(*outcome),
-            BatchResponse::Rows(_) => None,
+            _ => None,
         }
     }
 }
 
 /// Answers many prepared queries against one immutable snapshot concurrently — the
-/// multi-user serving shape: one snapshot, many sessions, interleaved queries.
+/// multi-user serving shape: one snapshot, many sessions, interleaved queries. Open
+/// answers, closed outcomes and closed profiles are all requests of one batch.
 ///
 /// Each request of a multi-request batch is answered on one worker (queries inside such
 /// a batch do not split further), so concurrent requests share the snapshot's component
 /// and answer memos: the first query touching a component enumerates it, every later
-/// query on any worker reuses it.
+/// query on any worker reuses it, and a closed outcome and a profile of the same query
+/// share one memo entry.
 /// Responses come back **in request order**, and every response is bit-identical to what
-/// [`PreparedQuery::execute`] / [`PreparedQuery::consistent_answer`] would have produced
-/// sequentially.
+/// [`PreparedQuery::execute`] / [`PreparedQuery::consistent_answer`] /
+/// [`PreparedQuery::closed_profile`] would have produced sequentially.
 ///
 /// ```
 /// use std::sync::Arc;
@@ -249,24 +285,9 @@ pub struct BatchExecutor {
 }
 
 impl BatchExecutor {
-    /// An executor over `snapshot` using one worker per hardware thread.
-    pub fn new(snapshot: EngineSnapshot) -> Self {
-        BatchExecutor::with_parallelism(snapshot, Parallelism::auto())
-    }
-
     /// An executor over `snapshot` with an explicit degree of parallelism.
     pub fn with_parallelism(snapshot: EngineSnapshot, parallelism: Parallelism) -> Self {
         BatchExecutor { snapshot, parallelism }
-    }
-
-    /// The snapshot every request is answered against.
-    pub fn snapshot(&self) -> &EngineSnapshot {
-        &self.snapshot
-    }
-
-    /// The configured degree of parallelism.
-    pub fn parallelism(&self) -> Parallelism {
-        self.parallelism
     }
 
     /// Answers every request, returning responses in request order.
@@ -275,27 +296,12 @@ impl BatchExecutor {
     /// unit, sharing the snapshot's memos). A **single-request** batch instead splits
     /// its repair product into chunks across the whole pool — otherwise a lone `EXEC`
     /// would leave every other worker idle. Either way each response is bit-identical to
-    /// [`PreparedQuery::execute`] / [`PreparedQuery::consistent_answer`] on the same
-    /// snapshot.
+    /// the sequential answer on the same snapshot.
     pub fn run(&self, requests: &[BatchRequest]) -> Vec<Result<BatchResponse, QueryError>> {
-        if requests.len() == 1 {
-            let response = match &requests[0] {
-                BatchRequest::Execute { query, family, semantics } => query
-                    .execute_with(&self.snapshot, *family, *semantics, self.parallelism)
-                    .map(BatchResponse::Rows),
-                BatchRequest::ConsistentAnswer { query, family } => query
-                    .consistent_answer_with(&self.snapshot, *family, self.parallelism)
-                    .map(BatchResponse::Outcome),
-            };
-            return vec![response];
-        }
-        run_jobs(self.parallelism, requests.len(), |index| match &requests[index] {
-            BatchRequest::Execute { query, family, semantics } => {
-                query.execute(&self.snapshot, *family, *semantics).map(BatchResponse::Rows)
-            }
-            BatchRequest::ConsistentAnswer { query, family } => {
-                query.consistent_answer(&self.snapshot, *family).map(BatchResponse::Outcome)
-            }
+        let per_request =
+            if requests.len() == 1 { self.parallelism } else { Parallelism::sequential() };
+        run_jobs(self.parallelism, requests.len(), |index| {
+            requests[index].answer(&self.snapshot, per_request)
         })
     }
 }

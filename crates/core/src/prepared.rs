@@ -7,18 +7,24 @@
 //!
 //! 1. look up the snapshot's answer memo under `(components, family, fingerprint)` —
 //!    repeated executions return immediately;
-//! 2. otherwise walk the product of the preferred repairs of the *relevant* components
-//!    only (the components of the relations the query mentions), assembled from the
-//!    snapshot's per-component memo, evaluating the query per repair;
+//! 2. otherwise plan the query and walk the product of the preferred repairs of the
+//!    *relevant* components only (the components of the relations the query
+//!    mentions), assembled from the snapshot's per-component memo, evaluating the query
+//!    per repair;
 //! 3. store the result in the memo and hand back a streaming [`AnswerSet`] cursor over
 //!    the shared row buffer.
 //!
-//! Open rows, closed outcomes and closed profiles all come from one walk over that
-//! product: contiguous chunks of the enumeration order, each folded on its own
-//! (sequential execution is the one-chunk case) and merged in chunk order.
+//! Open rows and closed profiles come from one walk over that product: contiguous
+//! chunks of the enumeration order, each folded on its own (sequential execution is
+//! the one-chunk case) and merged in chunk order.
 //!
-//! Ground queries under the plain repair family keep their polynomial fast path
-//! ([`crate::cqa_ground`]), reported with `examined == 0` as before.
+//! A closed query has one answer path, [`PreparedQuery::closed_profile_with`]: its
+//! [`ClosedProfile`] is memoised in the query's closed entry, and the preferred
+//! consistent answer ([`PreparedQuery::consistent_answer`]) is the profile's replay.
+//! So `CLOSED` and `PROFILE` reads of one query share one walk and one memo entry,
+//! and neither depends on which came first. Ground queries under the plain repair
+//! family keep their polynomial fast path ([`crate::cqa_ground`]), reported with
+//! `examined == 0` and memoised in the same entry.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -194,8 +200,10 @@ impl PreparedQuery {
         parallelism: Parallelism,
     ) -> Result<AnswerSet, QueryError> {
         let key = AnswerKey { fingerprint: self.fingerprint, family: kind, mode: semantics.mode() };
-        if let Some(entry) = snapshot.cached_answer(&key, &self.formula) {
-            return Ok(AnswerSet::new(Arc::clone(&entry.columns), Arc::clone(&entry.rows)));
+        if let Some(answers) =
+            snapshot.cached_answer(&key, &self.formula, |entry| Some(entry.answers.clone()))
+        {
+            return Ok(answers);
         }
         let relevant = self.relevant_relations(snapshot);
         let plan = self.plan_for(snapshot, kind, &relevant, parallelism);
@@ -217,9 +225,9 @@ impl PreparedQuery {
             fold_rows(&mut merged, rows, semantics);
         }
         let rows: Arc<Vec<Vec<Value>>> = Arc::new(merged.unwrap_or_default().into_iter().collect());
-        let columns = Arc::new(self.free.clone());
-        let entry = snapshot.store_answer(key, &self.formula, &relevant, rows, columns, None);
-        Ok(AnswerSet::new(Arc::clone(&entry.columns), Arc::clone(&entry.rows)))
+        let answers = AnswerSet::new(Arc::new(self.free.clone()), rows);
+        let entry = snapshot.store_answer(key, &self.formula, &relevant, answers, None, None);
+        Ok(entry.answers.clone())
     }
 
     /// The preferred consistent answer to a closed query (Definition 3): whether the
@@ -228,7 +236,7 @@ impl PreparedQuery {
     ///
     /// Ground queries under [`FamilyKind::Rep`] on single-relation snapshots use the
     /// polynomial conflict-graph algorithm (`examined == 0`); every other combination
-    /// runs through the memoised component pipeline.
+    /// replays the memoised [`ClosedProfile`] of [`PreparedQuery::closed_profile`].
     pub fn consistent_answer(
         &self,
         snapshot: &EngineSnapshot,
@@ -239,12 +247,11 @@ impl PreparedQuery {
 
     /// [`PreparedQuery::consistent_answer`] with an explicit degree of parallelism.
     ///
-    /// The outcome is the [`ClosedProfile`] of the walk, replayed under the sequential
-    /// early-exit rule ([`ClosedProfile::outcome`]): workers fold chunk-local profiles
-    /// of contiguous chunks and the profiles concatenate in chunk order, so the result —
-    /// including the `examined` counter — is bit-identical to the sequential path. (For
-    /// undetermined outcomes the workers may evaluate repairs the sequential path would
-    /// have skipped; that extra work never changes the answer.)
+    /// The ground fast path's outcome is memoised beside the profile; every other
+    /// outcome is [`PreparedQuery::closed_profile_with`] replayed under the sequential
+    /// early-exit rule ([`ClosedProfile::outcome`]). Either way the outcome — the
+    /// `examined` counter included — is bit-identical to a sequential answer on a fresh
+    /// snapshot, whatever ran before it.
     pub fn consistent_answer_with(
         &self,
         snapshot: &EngineSnapshot,
@@ -252,43 +259,28 @@ impl PreparedQuery {
         parallelism: Parallelism,
     ) -> Result<CqaOutcome, QueryError> {
         self.require_closed()?;
-        let key =
-            AnswerKey { fingerprint: self.fingerprint, family: kind, mode: AnswerMode::Closed };
-        if let Some(outcome) =
-            snapshot.cached_answer(&key, &self.formula).and_then(|entry| entry.outcome)
-        {
-            return Ok(outcome);
-        }
-        let relevant = self.relevant_relations(snapshot);
-        let outcome = match self.ground_outcome(snapshot, kind) {
-            Some(outcome) => outcome,
-            None => {
-                let plan = self.plan_for(snapshot, kind, &relevant, parallelism);
-                self.profile(snapshot, kind, &relevant, parallelism, plan.as_deref())?.outcome()
+        // The polynomial conflict-graph algorithm answers ground queries under Rep on a
+        // single-relation snapshot.
+        let ground = kind == FamilyKind::Rep && self.class == QueryClass::Ground;
+        if ground && snapshot.relation_count() == 1 {
+            let key = self.closed_key(kind);
+            if let Some(outcome) = snapshot.cached_answer(&key, &self.formula, |entry| entry.ground)
+            {
+                return Ok(outcome);
             }
-        };
-        snapshot.store_answer(
-            key,
-            &self.formula,
-            &relevant,
-            Arc::new(Vec::new()),
-            Arc::new(Vec::new()),
-            Some(outcome),
-        );
-        Ok(outcome)
+            if let Some(outcome) = self.ground_outcome(snapshot) {
+                let relevant = self.relevant_relations(snapshot);
+                let empty = AnswerSet::new(Arc::default(), Arc::default());
+                snapshot.store_answer(key, &self.formula, &relevant, empty, Some(outcome), None);
+                return Ok(outcome);
+            }
+        }
+        Ok(self.closed_profile_with(snapshot, kind, parallelism)?.outcome())
     }
 
-    /// The polynomial conflict-graph answer to a ground query under
-    /// [`FamilyKind::Rep`] on a single-relation snapshot. `None` for every other
-    /// combination, and on analysis errors, so the walk gives the standard error
-    /// reporting.
-    fn ground_outcome(&self, snapshot: &EngineSnapshot, kind: FamilyKind) -> Option<CqaOutcome> {
-        if kind != FamilyKind::Rep
-            || self.class != QueryClass::Ground
-            || snapshot.relation_count() != 1
-        {
-            return None;
-        }
+    /// The polynomial conflict-graph answer to a ground query; `None` on analysis
+    /// errors, so the walk gives the standard error reporting.
+    fn ground_outcome(&self, snapshot: &EngineSnapshot) -> Option<CqaOutcome> {
         let ctx = snapshot.context();
         let negated = Formula::Not(Box::new(self.formula.clone()));
         let certainly_true = ground_consistent_answer(ctx, &self.formula).ok()?;
@@ -299,38 +291,50 @@ impl PreparedQuery {
     /// The enumeration-order [`ClosedProfile`] of a closed query: the size of the
     /// preferred-repair product plus the positions of the first `true` and first
     /// `false` verdicts, in the exact order the sequential fold visits selections.
+    /// This is what the scatter-gather coordinator's `PROFILE` surface merges across
+    /// shards.
     ///
-    /// This is [`PreparedQuery::consistent_answer`]'s walk without the answer memo, so
-    /// it stops as soon as both positions are known (everything after the later of the
-    /// two can no longer change the profile). Results are not memoised — the caller
-    /// (the scatter-gather coordinator's `PROFILE` surface) asks each shard once per
-    /// merge.
+    /// The profile is memoised in the snapshot's answer memo, in the same entry as the
+    /// query's closed outcome, so a second profile — or a later
+    /// [`PreparedQuery::consistent_answer`] — of the same query and family is a memo
+    /// hit.
     pub fn closed_profile(
         &self,
         snapshot: &EngineSnapshot,
         kind: FamilyKind,
     ) -> Result<ClosedProfile, QueryError> {
-        self.require_closed()?;
-        let relevant = self.relevant_relations(snapshot);
-        self.profile(snapshot, kind, &relevant, Parallelism::sequential(), None)
+        self.closed_profile_with(snapshot, kind, Parallelism::sequential())
     }
 
-    /// The closed-query walk: every chunk folds a chunk-local [`ClosedProfile`] and
-    /// stops once it holds both verdicts; the profiles concatenate in chunk order.
-    fn profile(
+    /// [`PreparedQuery::closed_profile`] with an explicit degree of parallelism: the one
+    /// walk behind every closed answer.
+    ///
+    /// A memo miss plans the query and walks its repair product: contiguous chunks run
+    /// across the workers, each folding a chunk-local profile that stops as soon as it
+    /// holds both verdicts (everything after the later of the two can no longer change
+    /// the profile), and the profiles concatenate in chunk order. The result is
+    /// bit-identical to the sequential walk, and so is the stored entry. (For
+    /// undetermined queries the workers may evaluate repairs the sequential walk would
+    /// have skipped; that extra work never changes the profile.)
+    pub fn closed_profile_with(
         &self,
         snapshot: &EngineSnapshot,
         kind: FamilyKind,
-        relevant: &[usize],
         parallelism: Parallelism,
-        plan: Option<&PhysicalPlan>,
     ) -> Result<ClosedProfile, QueryError> {
+        self.require_closed()?;
+        let key = self.closed_key(kind);
+        if let Some(profile) = snapshot.cached_answer(&key, &self.formula, |entry| entry.profile) {
+            return Ok(profile);
+        }
+        let relevant = self.relevant_relations(snapshot);
+        let plan = self.plan_for(snapshot, kind, &relevant, parallelism);
         let (total, chunks) = self.walk(
             snapshot,
             kind,
-            relevant,
+            &relevant,
             parallelism,
-            plan,
+            plan.as_deref(),
             &ClosedProfile::default,
             &|profile, evaluator| {
                 profile.record(evaluator.eval_closed(&self.formula)?);
@@ -338,7 +342,15 @@ impl PreparedQuery {
             },
         )?;
         let walked = chunks.into_iter().fold(ClosedProfile::default(), ClosedProfile::then);
-        Ok(ClosedProfile { total, ..walked })
+        let profile = ClosedProfile { total, ..walked };
+        let empty = AnswerSet::new(Arc::default(), Arc::default());
+        snapshot.store_answer(key, &self.formula, &relevant, empty, None, Some(profile));
+        Ok(profile)
+    }
+
+    /// The memo key of this query's closed answer under `kind`.
+    fn closed_key(&self, kind: FamilyKind) -> AnswerKey {
+        AnswerKey { fingerprint: self.fingerprint, family: kind, mode: AnswerMode::Closed }
     }
 
     /// Closed answers need a closed query.
@@ -982,6 +994,93 @@ mod tests {
     }
 
     #[test]
+    fn repeated_profiles_hit_the_answer_memo() {
+        let ctx = example1();
+        let snapshot = snapshot_of(&ctx);
+        let query = PreparedQuery::parse(Q1).unwrap();
+        for kind in FamilyKind::ALL {
+            let first = query.closed_profile(&snapshot, kind).unwrap();
+            let before = snapshot.memo_stats();
+            let second = query.closed_profile(&snapshot, kind).unwrap();
+            let after = snapshot.memo_stats();
+            assert_eq!(second, first, "{}", kind.label());
+            assert_eq!(after.answer_hits, before.answer_hits + 1, "{}", kind.label());
+            assert_eq!(after.component_misses, before.component_misses, "{}", kind.label());
+            let fresh = query.closed_profile(&snapshot_of(&ctx), kind).unwrap();
+            assert_eq!(second, fresh, "{}", kind.label());
+        }
+    }
+
+    #[test]
+    fn closed_answers_do_not_depend_on_request_order() {
+        let ctx = example1();
+        let fresh = || snapshot_of(&ctx);
+        let rep = FamilyKind::Rep;
+        // A ground query under Rep: CLOSED keeps its fast path after a PROFILE walked...
+        let ground = PreparedQuery::parse("Mgr('Mary','R&D',40,3)").unwrap();
+        let snapshot = fresh();
+        assert!(ground.closed_profile(&snapshot, rep).unwrap().total > 0);
+        let outcome = ground.consistent_answer(&snapshot, rep).unwrap();
+        assert_eq!(outcome.examined, 0);
+        assert_eq!(outcome, ground.consistent_answer(&fresh(), rep).unwrap());
+        // ...and a PROFILE after a CLOSED walks instead of reusing the fast path's entry.
+        let snapshot = fresh();
+        ground.consistent_answer(&snapshot, rep).unwrap();
+        let profile = ground.closed_profile(&snapshot, rep).unwrap();
+        assert_eq!(profile, ground.closed_profile(&fresh(), rep).unwrap());
+        // The entry now holds both parts: asking again is two hits.
+        let hits = snapshot.memo_stats().answer_hits;
+        assert_eq!(ground.consistent_answer(&snapshot, rep).unwrap(), outcome);
+        assert_eq!(ground.closed_profile(&snapshot, rep).unwrap(), profile);
+        assert_eq!(snapshot.memo_stats().answer_hits, hits + 2);
+        // A quantified query: CLOSED after PROFILE is a memo hit with the fresh outcome.
+        let quantified = PreparedQuery::parse(Q1).unwrap();
+        for kind in FamilyKind::ALL {
+            let snapshot = fresh();
+            quantified.closed_profile(&snapshot, kind).unwrap();
+            let hits = snapshot.memo_stats().answer_hits;
+            let outcome = quantified.consistent_answer(&snapshot, kind).unwrap();
+            assert_eq!(snapshot.memo_stats().answer_hits, hits + 1, "{}", kind.label());
+            let expected = quantified.consistent_answer(&fresh(), kind).unwrap();
+            assert_eq!(outcome, expected, "{}", kind.label());
+        }
+    }
+
+    #[test]
+    fn derivations_carry_profiles_like_every_memoised_answer() {
+        let (mgr, other) = (example1(), example4(2));
+        let build = |snapshot: &EngineSnapshot| {
+            EngineBuilder::new()
+                .relation(snapshot.context_of("Mgr").unwrap().instance().clone(), mgr.fds().clone())
+                .relation(snapshot.context_of("R").unwrap().instance().clone(), other.fds().clone())
+                .build()
+                .unwrap()
+        };
+        let base = EngineBuilder::new()
+            .relation(mgr.instance().clone(), mgr.fds().clone())
+            .relation(other.instance().clone(), other.fds().clone())
+            .build()
+            .unwrap();
+        let query = PreparedQuery::parse(Q1).unwrap();
+        let john_pr = vec!["John".into(), "PR".into(), Value::int(30), Value::int(4)];
+        // A mutation of the other relation carries the profile; one of Mgr drops it.
+        let cases = [
+            (crate::Mutation::new().insert("R", vec![Value::int(5), Value::int(0)]), 1),
+            (crate::Mutation::new().delete("Mgr", john_pr), 0),
+        ];
+        for kind in FamilyKind::ALL {
+            query.closed_profile(&base, kind).unwrap();
+            for (mutation, hits) in &cases {
+                let derived = base.with_mutations(mutation, Parallelism::sequential()).unwrap();
+                let profile = query.closed_profile(&derived, kind).unwrap();
+                assert_eq!(derived.memo_stats().answer_hits, *hits, "{}", kind.label());
+                let fresh = query.closed_profile(&build(&derived), kind).unwrap();
+                assert_eq!(profile, fresh, "{}", kind.label());
+            }
+        }
+    }
+
+    #[test]
     fn answer_sets_stream_sorted_rows_with_columns() {
         let ctx = example1();
         let snapshot = snapshot_of(&ctx);
@@ -1141,7 +1240,7 @@ mod tests {
 
     #[test]
     fn batch_executor_matches_per_query_execution() {
-        use crate::{BatchExecutor, BatchRequest, Parallelism};
+        use crate::{BatchExecutor, BatchRequest, BatchResponse, Parallelism};
         let ctx = example1();
         let snapshot = snapshot_of(&ctx);
         let open = Arc::new(PreparedQuery::parse("EXISTS d,s,r . Mgr(x,d,s,r)").unwrap());
@@ -1151,6 +1250,7 @@ mod tests {
             requests.push(BatchRequest::execute(Arc::clone(&open), kind, Semantics::Certain));
             requests.push(BatchRequest::execute(Arc::clone(&open), kind, Semantics::Possible));
             requests.push(BatchRequest::consistent_answer(Arc::clone(&closed), kind));
+            requests.push(BatchRequest::profile(Arc::clone(&closed), kind));
         }
         let executor = BatchExecutor::with_parallelism(snapshot.clone(), Parallelism::threads(4));
         let responses = executor.run(&requests);
@@ -1167,6 +1267,10 @@ mod tests {
                 (crate::BatchRequest::ConsistentAnswer { query, family }, batched) => {
                     let direct = query.consistent_answer(&reference, *family).unwrap();
                     assert_eq!(direct, batched.outcome().unwrap());
+                }
+                (crate::BatchRequest::Profile { query, family }, batched) => {
+                    let direct = query.closed_profile(&reference, *family).unwrap();
+                    assert!(matches!(batched, BatchResponse::Profile(p) if p == direct));
                 }
             }
         }

@@ -61,7 +61,7 @@ use pdqi_constraints::{fd_conflict_edges, ConflictGraph, FdSet};
 use pdqi_priority::{
     priority_from_scores, priority_from_source_reliability, Priority, PriorityError, SourceOrder,
 };
-use pdqi_relation::{RelationError, RelationInstance, TupleId, TupleSet, Value};
+use pdqi_relation::{RelationError, RelationInstance, TupleId, TupleSet};
 use pdqi_solve::maximal_independent_sets_within;
 
 use crate::clean::{clean_with_total_priority, common_repairs_within, CleaningError};
@@ -69,7 +69,7 @@ use crate::cqa::CqaOutcome;
 use crate::families::FamilyKind;
 use crate::optimality::{is_locally_optimal, is_semi_globally_optimal, preferred_over};
 use crate::parallel::Parallelism;
-use crate::prepared::SelectionCursor;
+use crate::prepared::{AnswerSet, ClosedProfile, SelectionCursor};
 use crate::repair::RepairContext;
 
 /// Errors raised while assembling a snapshot.
@@ -565,21 +565,27 @@ pub(crate) enum AnswerMode {
     Certain,
     /// Possible answers (rows in some preferred repair).
     Possible,
-    /// The closed-query [`CqaOutcome`].
+    /// The closed answer: the ground fast path's [`CqaOutcome`] and the walk's
+    /// [`ClosedProfile`].
     Closed,
 }
 
 /// A memoised execution result.
+#[derive(Clone)]
 pub(crate) struct AnswerEntry {
     /// The exact formula this entry answers. The memo key holds only a 64-bit
     /// fingerprint, so hits re-check the formula to rule out hash collisions.
     pub(crate) formula: pdqi_query::Formula,
-    /// Sorted, de-duplicated answer rows (empty for closed outcomes).
-    pub(crate) rows: Arc<Vec<Vec<Value>>>,
-    /// Column headers (the query's free variables, lexicographically).
-    pub(crate) columns: Arc<Vec<String>>,
-    /// The closed-query outcome, for [`AnswerMode::Closed`].
-    pub(crate) outcome: Option<CqaOutcome>,
+    /// The open answer: sorted, de-duplicated rows under their columns (empty for
+    /// closed answers).
+    pub(crate) answers: AnswerSet,
+    /// The polynomial ground fast path's closed outcome (`examined == 0`).
+    pub(crate) ground: Option<CqaOutcome>,
+    /// The walk's closed profile; every other closed outcome is its replay. Each
+    /// closed part is filled by the path that computes it, and a later store keeps
+    /// the parts it does not bring, so a closed read hits exactly when its part is
+    /// here, whatever order the reads came in.
+    pub(crate) profile: Option<ClosedProfile>,
     /// Global component ids this result depends on (used by priority invalidation).
     pub(crate) depends_on: Vec<usize>,
     /// Snapshot relation indices the query mentions (used by mutation invalidation —
@@ -595,6 +601,7 @@ pub(crate) struct AnswerEntry {
 /// decides whether a derived snapshot may keep it. Mirrors [`AnswerEntry`]: plans are
 /// carried across priority/mutation/schema derivations exactly when the cardinalities
 /// they were costed from survived, and re-costed otherwise.
+#[derive(Clone)]
 pub(crate) struct PlanEntry {
     /// The exact formula this plan was costed for (the cache key holds only a 64-bit
     /// fingerprint, so hits re-check the formula to rule out hash collisions).
@@ -610,7 +617,7 @@ pub(crate) struct PlanEntry {
     pub(crate) priority_sensitive: bool,
 }
 
-/// Default cap on memoised answers per snapshot. The component memo is naturally
+/// Cap on memoised answers per snapshot. The component memo is naturally
 /// bounded (components × families), but answers grow with the number of distinct
 /// queries; past this limit the **oldest** entry is evicted (insertion order), which
 /// keeps long-lived sessions at a bounded footprint with O(1) amortised insertions while
@@ -692,18 +699,13 @@ impl ComponentMemo {
     }
 }
 
-/// The bounded answer memo: entries plus their insertion order. Invariant: `order`
-/// holds exactly the keys of `entries`, each once, oldest first.
+/// The answer memo, bounded by [`ANSWER_MEMO_LIMIT`]: entries plus their insertion
+/// order. Invariant: `order` holds exactly the keys of `entries`, each once, oldest
+/// first.
+#[derive(Default)]
 struct AnswerMemo {
     entries: HashMap<AnswerKey, Arc<AnswerEntry>>,
     order: VecDeque<AnswerKey>,
-    capacity: usize,
-}
-
-impl Default for AnswerMemo {
-    fn default() -> Self {
-        AnswerMemo { entries: HashMap::new(), order: VecDeque::new(), capacity: ANSWER_MEMO_LIMIT }
-    }
 }
 
 #[derive(Default)]
@@ -721,13 +723,13 @@ pub(crate) struct Memo {
 }
 
 impl Memo {
-    /// Carries answer entries over from `parent` into this (fresh) memo, copying the
-    /// capacity and walking the old insertion order so surviving entries keep their
-    /// age. `keep` decides per entry: `None` drops it, `Some(depends_on)` keeps it
-    /// with the given (possibly remapped) component dependencies — the entry is
-    /// shared when they are unchanged and re-assembled otherwise. Every derivation
-    /// (priority revision, mutation delta) funnels through here, so the
-    /// entries/order/capacity invariant lives in one place.
+    /// Carries answer entries over from `parent` into this (fresh) memo, walking the
+    /// old insertion order so surviving entries keep their age. `keep` decides per
+    /// entry: `None` drops it, `Some(depends_on)` keeps it with the given (possibly
+    /// remapped) component dependencies — the entry is shared when they are unchanged
+    /// and re-assembled otherwise. A closed entry carries its outcome and its profile
+    /// together. Every derivation (priority revision, mutation delta) funnels through
+    /// here, so the entries/order invariant lives in one place.
     pub(crate) fn carry_answers_from(
         &self,
         parent: &Memo,
@@ -735,7 +737,6 @@ impl Memo {
     ) {
         let old = parent.answers.read().expect("memo lock");
         let mut new = self.answers.write().expect("memo lock");
-        new.capacity = old.capacity;
         for key in old.order.iter() {
             let answer = &old.entries[key];
             let Some(depends_on) = keep(answer) else {
@@ -744,15 +745,7 @@ impl Memo {
             let entry = if depends_on == answer.depends_on {
                 Arc::clone(answer)
             } else {
-                Arc::new(AnswerEntry {
-                    formula: answer.formula.clone(),
-                    rows: Arc::clone(&answer.rows),
-                    columns: Arc::clone(&answer.columns),
-                    outcome: answer.outcome,
-                    depends_on,
-                    relations: answer.relations.clone(),
-                    priority_sensitive: answer.priority_sensitive,
-                })
+                Arc::new(AnswerEntry { depends_on, ..AnswerEntry::clone(answer) })
             };
             new.order.push_back(*key);
             new.entries.insert(*key, entry);
@@ -777,13 +770,7 @@ impl Memo {
             let entry = if depends_on == plan.depends_on {
                 Arc::clone(plan)
             } else {
-                Arc::new(PlanEntry {
-                    formula: plan.formula.clone(),
-                    plan: Arc::clone(&plan.plan),
-                    depends_on,
-                    relations: plan.relations.clone(),
-                    priority_sensitive: plan.priority_sensitive,
-                })
+                Arc::new(PlanEntry { depends_on, ..PlanEntry::clone(plan) })
             };
             new.insert(*key, entry);
         }
@@ -922,26 +909,6 @@ impl EngineSnapshot {
             answer_hits: memo.answer_hits.load(Ordering::Relaxed),
             answer_misses: memo.answer_misses.load(Ordering::Relaxed),
             answer_evictions: memo.answer_evictions.load(Ordering::Relaxed),
-        }
-    }
-
-    /// The maximum number of memoised answers this snapshot retains before evicting the
-    /// oldest entry.
-    pub fn answer_cache_capacity(&self) -> usize {
-        self.inner.memo.answers.read().expect("memo lock").capacity
-    }
-
-    /// Changes the bound of the answer memo (clamped to at least 1), evicting the oldest
-    /// entries immediately if the memo is over the new capacity. Affects every clone
-    /// sharing this snapshot's memo; derived snapshots inherit the capacity.
-    pub fn set_answer_cache_capacity(&self, capacity: usize) {
-        let mut answers = self.inner.memo.answers.write().expect("memo lock");
-        answers.capacity = capacity.max(1);
-        while answers.entries.len() > answers.capacity {
-            let Some(oldest) = answers.order.pop_front() else { break };
-            if answers.entries.remove(&oldest).is_some() {
-                self.inner.memo.answer_evictions.fetch_add(1, Ordering::Relaxed);
-            }
         }
     }
 
@@ -1091,23 +1058,15 @@ impl EngineSnapshot {
     }
 
     /// A snapshot sharing this snapshot's relations, graphs and priorities but starting
-    /// from an **empty** memo (entries, counters and all; the answer-cache capacity is
-    /// kept). Useful for benchmarking cold-start behaviour and for reclaiming memo
-    /// memory in long-lived servers.
+    /// from an **empty** memo: component repairs, answers (closed profiles included),
+    /// plans and counters. Useful for benchmarking cold-start behaviour and for
+    /// reclaiming memo memory in long-lived servers.
     pub fn with_cleared_memo(&self) -> EngineSnapshot {
         let relations: Vec<RelationEntry> =
             self.inner.relations.iter().map(RelationEntry::share).collect();
-        let memo = Memo::default();
-        {
-            // Copy the capacity while holding the parent's lock: a concurrent
-            // `set_answer_cache_capacity` then strictly precedes or follows the
-            // derivation, so the derived snapshot always carries a bound the parent
-            // actually had (never a torn or stale intermediate).
-            let parent = self.inner.memo.answers.read().expect("memo lock");
-            memo.answers.write().expect("memo lock").capacity = parent.capacity;
-        }
+        let by_name = self.inner.by_name.clone();
         EngineSnapshot {
-            inner: Arc::new(SnapshotInner { relations, by_name: self.inner.by_name.clone(), memo }),
+            inner: Arc::new(SnapshotInner { relations, by_name, memo: Memo::default() }),
         }
     }
 
@@ -1215,14 +1174,26 @@ impl EngineSnapshot {
         (base + per_component).max(1)
     }
 
-    /// Looks up a memoised answer. The key carries only a fingerprint, so a hit is
-    /// trusted only when the stored formula matches `formula` exactly — a 64-bit hash
-    /// collision between distinct queries degrades to a miss instead of a wrong answer.
-    pub(crate) fn cached_answer(
+    /// The global ids of every component of the given relations: the footprint a
+    /// memoised answer or plan over them depends on.
+    fn component_ids(&self, relations: &[usize]) -> Vec<usize> {
+        let entries = relations.iter().map(|&rel| &self.inner.relations[rel]);
+        entries
+            .flat_map(|entry| entry.comp_offset..entry.comp_offset + entry.components.len())
+            .collect()
+    }
+
+    /// Looks up a memoised answer and reads the part `read` asks for; a hit is counted
+    /// only when that part is there (a closed entry holding only a ground outcome is a
+    /// miss for a profile). The key carries only a fingerprint, so a hit is trusted
+    /// only when the stored formula matches `formula` exactly — a 64-bit hash collision
+    /// between distinct queries degrades to a miss instead of a wrong answer.
+    pub(crate) fn cached_answer<T>(
         &self,
         key: &AnswerKey,
         formula: &pdqi_query::Formula,
-    ) -> Option<Arc<AnswerEntry>> {
+        read: impl FnOnce(&AnswerEntry) -> Option<T>,
+    ) -> Option<T> {
         let memo = &self.inner.memo;
         let hit = memo
             .answers
@@ -1231,7 +1202,7 @@ impl EngineSnapshot {
             .entries
             .get(key)
             .filter(|entry| entry.formula == *formula)
-            .cloned();
+            .and_then(|entry| read(entry));
         match &hit {
             Some(_) => memo.answer_hits.fetch_add(1, Ordering::Relaxed),
             None => memo.answer_misses.fetch_add(1, Ordering::Relaxed),
@@ -1241,35 +1212,35 @@ impl EngineSnapshot {
 
     /// Stores a memoised answer. `relations` are the indices of the relations the query
     /// mentions; the entry records their components so priority derivation can decide
-    /// whether to keep it. The memo is bounded ([`ANSWER_MEMO_LIMIT`] by default; see
-    /// [`EngineSnapshot::set_answer_cache_capacity`]): when full, the oldest entry is
-    /// evicted and counted in [`MemoStats::answer_evictions`].
+    /// whether to keep it. A closed answer keeps the parts of the entry it replaces
+    /// that it does not bring itself. The memo is bounded ([`ANSWER_MEMO_LIMIT`]): when
+    /// full, the oldest entry is evicted and counted in [`MemoStats::answer_evictions`].
     pub(crate) fn store_answer(
         &self,
         key: AnswerKey,
         formula: &pdqi_query::Formula,
         relations: &[usize],
-        rows: Arc<Vec<Vec<Value>>>,
-        columns: Arc<Vec<String>>,
-        outcome: Option<CqaOutcome>,
+        answers: AnswerSet,
+        ground: Option<CqaOutcome>,
+        profile: Option<ClosedProfile>,
     ) -> Arc<AnswerEntry> {
-        let mut depends_on = Vec::new();
-        for &rel in relations {
-            let entry = &self.inner.relations[rel];
-            depends_on.extend(entry.comp_offset..entry.comp_offset + entry.components.len());
-        }
-        let entry = Arc::new(AnswerEntry {
+        let mut entry = AnswerEntry {
             formula: formula.clone(),
-            rows,
-            columns,
-            outcome,
-            depends_on,
+            answers,
+            ground,
+            profile,
+            depends_on: self.component_ids(relations),
             relations: relations.to_vec(),
             priority_sensitive: key.family != FamilyKind::Rep,
-        });
+        };
         let mut answers = self.inner.memo.answers.write().expect("memo lock");
+        if let Some(old) = answers.entries.get(&key).filter(|old| old.formula == *formula) {
+            entry.ground = entry.ground.or(old.ground);
+            entry.profile = entry.profile.or(old.profile);
+        }
+        let entry = Arc::new(entry);
         if !answers.entries.contains_key(&key) {
-            while answers.entries.len() >= answers.capacity {
+            while answers.entries.len() >= ANSWER_MEMO_LIMIT {
                 let Some(oldest) = answers.order.pop_front() else { break };
                 if answers.entries.remove(&oldest).is_some() {
                     self.inner.memo.answer_evictions.fetch_add(1, Ordering::Relaxed);
@@ -1324,15 +1295,10 @@ impl EngineSnapshot {
         relations: &[usize],
         plan: pdqi_query::PhysicalPlan,
     ) -> Arc<PlanEntry> {
-        let mut depends_on = Vec::new();
-        for &rel in relations {
-            let entry = &self.inner.relations[rel];
-            depends_on.extend(entry.comp_offset..entry.comp_offset + entry.components.len());
-        }
         let entry = Arc::new(PlanEntry {
             formula: formula.clone(),
             plan: Arc::new(plan),
-            depends_on,
+            depends_on: self.component_ids(relations),
             relations: relations.to_vec(),
             priority_sensitive: family != FamilyKind::Rep,
         });
@@ -1508,50 +1474,32 @@ mod tests {
         use crate::{FamilyKind, PreparedQuery, Semantics};
         let ctx = example1();
         let snapshot = snapshot_of(&ctx);
-        snapshot.set_answer_cache_capacity(2);
-        assert_eq!(snapshot.answer_cache_capacity(), 2);
-        let queries: Vec<PreparedQuery> = [
-            "EXISTS d,s,r . Mgr(x,d,s,r)",
-            "EXISTS n,s,r . Mgr(n,x,s,r)",
-            "EXISTS n,d,r . Mgr(n,d,x,r)",
-        ]
-        .iter()
-        .map(|q| PreparedQuery::parse(q).unwrap())
-        .collect();
+        let queries: Vec<PreparedQuery> = (0..=ANSWER_MEMO_LIMIT)
+            .map(|bound| {
+                PreparedQuery::parse(&format!("EXISTS d,r . Mgr(x,d,s,r) AND s > {bound}"))
+            })
+            .collect::<Result<_, _>>()
+            .unwrap();
+        let (oldest, second, last) = (&queries[0], &queries[1], &queries[ANSWER_MEMO_LIMIT]);
         for query in &queries {
             query.execute(&snapshot, FamilyKind::Rep, Semantics::Possible).unwrap();
         }
-        // Capacity 2, three inserts: the oldest (first) entry was evicted.
+        // One insert past the bound: the oldest (first) entry was evicted.
         let stats = snapshot.memo_stats();
         assert_eq!(stats.answer_evictions, 1);
         let hits_before = stats.answer_hits;
-        // The two youngest entries are still served from the memo...
-        queries[1].execute(&snapshot, FamilyKind::Rep, Semantics::Possible).unwrap();
-        queries[2].execute(&snapshot, FamilyKind::Rep, Semantics::Possible).unwrap();
+        // The youngest entries are still served from the memo...
+        second.execute(&snapshot, FamilyKind::Rep, Semantics::Possible).unwrap();
+        last.execute(&snapshot, FamilyKind::Rep, Semantics::Possible).unwrap();
         assert_eq!(snapshot.memo_stats().answer_hits, hits_before + 2);
         // ...while the evicted one is recomputed (a miss, and it evicts the next oldest,
-        // which is queries[1] — queries[2] survives).
-        queries[0].execute(&snapshot, FamilyKind::Rep, Semantics::Possible).unwrap();
+        // which is the second query — the last one survives).
+        oldest.execute(&snapshot, FamilyKind::Rep, Semantics::Possible).unwrap();
         let stats = snapshot.memo_stats();
         assert_eq!(stats.answer_hits, hits_before + 2);
         assert_eq!(stats.answer_evictions, 2);
-        queries[2].execute(&snapshot, FamilyKind::Rep, Semantics::Possible).unwrap();
+        last.execute(&snapshot, FamilyKind::Rep, Semantics::Possible).unwrap();
         assert_eq!(snapshot.memo_stats().answer_hits, hits_before + 3);
-    }
-
-    #[test]
-    fn shrinking_the_answer_cache_evicts_immediately() {
-        use crate::{FamilyKind, PreparedQuery, Semantics};
-        let ctx = example1();
-        let snapshot = snapshot_of(&ctx);
-        for query in ["EXISTS d,s,r . Mgr(x,d,s,r)", "EXISTS n,s,r . Mgr(n,x,s,r)"] {
-            PreparedQuery::parse(query)
-                .unwrap()
-                .execute(&snapshot, FamilyKind::Rep, Semantics::Possible)
-                .unwrap();
-        }
-        snapshot.set_answer_cache_capacity(1);
-        assert_eq!(snapshot.memo_stats().answer_evictions, 1);
     }
 
     #[test]
@@ -1588,13 +1536,11 @@ mod tests {
     fn cleared_memo_shares_structure_but_recomputes() {
         let ctx = example4(4);
         let snapshot = snapshot_of(&ctx);
-        snapshot.set_answer_cache_capacity(7);
         snapshot.preferred_repairs(FamilyKind::Rep, usize::MAX);
         assert!(snapshot.memo_stats().component_misses > 0);
         let cold = snapshot.with_cleared_memo();
         assert!(Arc::ptr_eq(snapshot.graph(), cold.graph()));
         assert_eq!(cold.memo_stats(), MemoStats::default());
-        assert_eq!(cold.answer_cache_capacity(), 7);
         assert_eq!(cold.count_repairs(), 16);
         assert!(cold.memo_stats().component_misses > 0);
     }
@@ -1723,59 +1669,5 @@ mod tests {
                 fresh.preferred_repairs(FamilyKind::Global, usize::MAX)
             );
         }
-    }
-
-    #[test]
-    fn derived_snapshots_pin_the_capacity_at_derivation_time() {
-        let ctx = example4(3);
-        let snapshot = snapshot_of(&ctx);
-        snapshot.set_answer_cache_capacity(7);
-        let cleared = snapshot.with_cleared_memo();
-        let derived =
-            revised(&snapshot, ctx.priority_from_pairs(&[(TupleId(0), TupleId(1))]).unwrap()).0;
-        assert_eq!(cleared.answer_cache_capacity(), 7);
-        assert_eq!(derived.answer_cache_capacity(), 7);
-        // Capacity changes after derivation stay on the snapshot they were made on.
-        snapshot.set_answer_cache_capacity(3);
-        assert_eq!(cleared.answer_cache_capacity(), 7);
-        assert_eq!(derived.answer_cache_capacity(), 7);
-        derived.set_answer_cache_capacity(11);
-        assert_eq!(snapshot.answer_cache_capacity(), 3);
-    }
-
-    #[test]
-    fn capacity_changes_racing_derivations_never_tear() {
-        use crate::{PreparedQuery, Semantics};
-        let ctx = example1();
-        let snapshot = snapshot_of(&ctx);
-        // Populate a couple of answers so derivations carry entries.
-        for text in ["EXISTS d,s,r . Mgr(x,d,s,r)", "EXISTS n,s,r . Mgr(n,x,s,r)"] {
-            PreparedQuery::parse(text)
-                .unwrap()
-                .execute(&snapshot, FamilyKind::Rep, Semantics::Possible)
-                .unwrap();
-        }
-        let priority = ctx.priority_from_pairs(&[(TupleId(0), TupleId(1))]).unwrap();
-        std::thread::scope(|scope| {
-            let toggler = scope.spawn(|| {
-                for round in 0..200 {
-                    snapshot.set_answer_cache_capacity(if round % 2 == 0 { 1 } else { 4096 });
-                }
-            });
-            let derivations = scope.spawn(|| {
-                for _ in 0..100 {
-                    for derived in
-                        [snapshot.with_cleared_memo(), revised(&snapshot, priority.clone()).0]
-                    {
-                        let capacity = derived.answer_cache_capacity();
-                        // The bound is always one the parent actually had, and the
-                        // carried-over entries never exceed it.
-                        assert!(capacity == 1 || capacity == 4096, "torn capacity {capacity}");
-                    }
-                }
-            });
-            toggler.join().unwrap();
-            derivations.join().unwrap();
-        });
     }
 }

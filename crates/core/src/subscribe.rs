@@ -103,8 +103,8 @@ pub struct SubscribeStats {
 pub struct SubscribeOptions {
     /// How swaps become pushed deltas (default: one delta per answer-changing swap).
     pub strategy: ReportStrategy,
-    /// Overrides the manager's per-subscriber queue bound (clamped to ≥ 1);
-    /// `None` uses the manager-wide capacity.
+    /// This subscriber's queue bound (clamped to ≥ 1); `None` uses
+    /// [`DEFAULT_QUEUE_CAPACITY`].
     pub queue_capacity: Option<usize>,
 }
 
@@ -193,7 +193,7 @@ struct Subscription {
     /// Report-strategy state: what the subscriber was told, pending coalesced
     /// deltas, the last-N window (see [`crate::window`]).
     report: ReportState,
-    /// Per-subscription queue bound; `None` falls back to the manager's.
+    /// Per-subscription queue bound; `None` falls back to [`DEFAULT_QUEUE_CAPACITY`].
     queue_capacity: Option<usize>,
 }
 
@@ -211,7 +211,6 @@ struct ManagerInner {
 /// goes through subscription ids.
 pub struct SubscriptionManager {
     parallelism: Parallelism,
-    queue_capacity: usize,
     inner: Mutex<ManagerInner>,
     deltas_pushed: AtomicU64,
     skipped_unchanged: AtomicU64,
@@ -221,18 +220,11 @@ pub struct SubscriptionManager {
 }
 
 impl SubscriptionManager {
-    /// A manager executing affected queries with `parallelism` workers and the
-    /// default queue bound.
+    /// A manager executing affected queries with `parallelism` workers. Each
+    /// subscriber's queue is bounded by its [`SubscribeOptions::queue_capacity`].
     pub fn new(parallelism: Parallelism) -> Arc<Self> {
-        Self::with_queue_capacity(parallelism, DEFAULT_QUEUE_CAPACITY)
-    }
-
-    /// [`SubscriptionManager::new`] with an explicit per-subscriber queue bound
-    /// (clamped to at least 1).
-    pub fn with_queue_capacity(parallelism: Parallelism, queue_capacity: usize) -> Arc<Self> {
         Arc::new(SubscriptionManager {
             parallelism,
-            queue_capacity: queue_capacity.max(1),
             inner: Mutex::new(ManagerInner::default()),
             deltas_pushed: AtomicU64::new(0),
             skipped_unchanged: AtomicU64::new(0),
@@ -455,7 +447,7 @@ impl SubscriptionManager {
             // around the resync.
             return;
         }
-        let capacity = subscription.queue_capacity.unwrap_or(self.queue_capacity);
+        let capacity = subscription.queue_capacity.unwrap_or(DEFAULT_QUEUE_CAPACITY);
         if subscription.queue.len() >= capacity {
             subscription.queue.clear();
             subscription.lagged = true;

@@ -284,7 +284,7 @@ impl Client {
         inserts: &[Vec<String>],
         deletes: &[Vec<String>],
     ) -> Result<(usize, usize, u64), ClientError> {
-        parse_mutated(&self.request(&Request::Mutate {
+        parse_written(&self.request(&Request::Mutate {
             table: table.to_string(),
             inserts: inserts.to_vec(),
             deletes: deletes.to_vec(),
@@ -544,10 +544,16 @@ pub(crate) fn parse_describe(response: &str) -> Result<TableDescription, ClientE
     Ok(TableDescription { table, rows, generation, columns })
 }
 
-/// Parses a `MUTATE` response: `(inserted, deleted, generation)`.
-pub(crate) fn parse_mutated(response: &str) -> Result<(usize, usize, u64), ClientError> {
+/// Parses an `INSERT`, `DELETE` or `MUTATE` response as `(inserted, deleted,
+/// generation)`; the count a command does not report is 0.
+pub(crate) fn parse_written(response: &str) -> Result<(usize, usize, u64), ClientError> {
     let head = response.lines().next().unwrap_or("");
-    Ok((counted(head, "inserted")?, counted(head, "deleted")?, parse_tagged(head, "gen")?))
+    let generation = parse_tagged(head, "gen")?;
+    match head.split_whitespace().nth(1) {
+        Some("inserted") => Ok((counted(head, "inserted")?, 0, generation)),
+        Some("deleted") => Ok((0, counted(head, "deleted")?, generation)),
+        _ => Ok((counted(head, "inserted")?, counted(head, "deleted")?, generation)),
+    }
 }
 
 /// Extracts `<verb> <count>` from a mutation response head.

@@ -24,7 +24,9 @@
 //! spawned per request. A request that fails on an open link is sent once more on a
 //! fresh one (the protocol's requests are idempotent: set-semantics mutations,
 //! replacing priorities, re-`PREPARE`s); a shard that cannot be reached fails the
-//! request with an error naming it.
+//! request with an error naming it. A shard frame over [`MAX_FRAME_BYTES`] is refused
+//! before it is written, with an error naming the shard and the limit, and its link
+//! stays open.
 //!
 //! # Merge rules
 //!
@@ -40,8 +42,8 @@
 //! | `EXEC … POSSIBLE`  | union of per-shard possible rows                           |
 //! | `EXEC … CLOSED`    | certainly-true = **or**, certainly-false = **and**; the    |
 //! |                    | `examined` counter replays from per-shard `PROFILE`s       |
-//! | `INSERT`/`DELETE`/ | routed by key range: one `MUTATE` per owning shard, counts |
-//! | `MUTATE`           | summed                                                     |
+//! | `INSERT`/`DELETE`/ | routed by key range: each owning shard gets its rows under |
+//! | `MUTATE`           | the client's own command, counts summed                    |
 //! | `SET-PRIORITY`     | global tuple ids translated by per-shard row offsets       |
 //!
 //! *Certain is a union, not an intersection*: a row certain on one shard appears in
@@ -76,12 +78,12 @@ use pdqi_query::parse_formula;
 use pdqi_relation::{Value, ValueType};
 
 use crate::client::{
-    parse_batch, parse_describe, parse_mutated, parse_tagged, Client, ClientError, ExecOutcome,
+    parse_batch, parse_describe, parse_tagged, parse_written, Client, ClientError, ExecOutcome,
     TableDescription,
 };
 use crate::protocol::{
     describe_response, exec_response, outcome_line, profile_line, rows_block, ExecMode, ExecSpec,
-    FrameError, Prepared, PreparedMap, Request,
+    FrameError, Prepared, PreparedMap, Request, MAX_FRAME_BYTES,
 };
 use crate::transport::{listen, Handle, Handler, WireStats};
 
@@ -175,21 +177,29 @@ impl CoordinatorState {
     /// Sends each `(shard, payload)` request over `links` and returns each shard's
     /// reply, parsed by `parse`, in request order. Every frame is written before any
     /// reply is read, so the shards work concurrently. Errors name the shard, so a
-    /// one-shard-down failure is diagnosable from the merged `ERR` alone.
+    /// one-shard-down failure is diagnosable from the merged `ERR` alone. A payload over
+    /// [`MAX_FRAME_BYTES`] is refused before anything is written: it fails alone, and
+    /// its link stays open and in sync.
     fn fan_out<T>(
         &self,
         links: &mut [Option<Client>],
         requests: Vec<(usize, String)>,
         parse: impl Fn(&str) -> Result<T, ClientError>,
     ) -> Vec<(usize, Result<T, String>)> {
-        let sent: Vec<Result<(), String>> = requests
+        // `Some(reply)`: the payload is over the limit, refused here instead of sent.
+        let sent: Vec<Result<Option<String>, String>> = requests
             .iter()
-            .map(|(shard, payload)| self.send(&mut links[*shard], *shard, payload))
+            .map(|(shard, payload)| match payload.len() {
+                size if size > MAX_FRAME_BYTES => Ok(Some(format!(
+                    "ERR the request is {size} bytes; the frame limit is {MAX_FRAME_BYTES}"
+                ))),
+                _ => self.send(&mut links[*shard], *shard, payload).map(|()| None),
+            })
             .collect();
         let mut replies = Vec::with_capacity(requests.len());
         for ((shard, payload), sent) in requests.into_iter().zip(sent) {
             let link = &mut links[shard];
-            let mut reply = sent.and_then(|()| receive(link));
+            let mut reply = sent.and_then(|refused| refused.map_or_else(|| receive(link), Ok));
             // A request that failed on an open link goes once more on a fresh one; a
             // failed connect leaves the link closed and is not retried.
             if reply.is_err() && link.take().is_some() {
@@ -336,13 +346,17 @@ impl Handler for CoordinatorState {
             }
             Request::Batch(specs) => exec_response(run_specs(self, links, specs), true),
             Request::Insert { table, rows } => {
-                route_mutation(self, links, table, rows, &[], |i, _| format!("inserted {i}"))
+                let part = |rows, _| Request::Insert { table: table.clone(), rows };
+                route_mutation(self, links, table, rows, &[], part, |i, _| format!("inserted {i}"))
             }
             Request::Delete { table, rows } => {
-                route_mutation(self, links, table, &[], rows, |_, d| format!("deleted {d}"))
+                let part = |_, rows| Request::Delete { table: table.clone(), rows };
+                route_mutation(self, links, table, &[], rows, part, |_, d| format!("deleted {d}"))
             }
             Request::Mutate { table, inserts, deletes } => {
-                route_mutation(self, links, table, inserts, deletes, |i, d| {
+                let part =
+                    |inserts, deletes| Request::Mutate { table: table.clone(), inserts, deletes };
+                route_mutation(self, links, table, inserts, deletes, part, |i, d| {
                     format!("mutated inserted {i} deleted {d}")
                 })
             }
@@ -632,15 +646,17 @@ fn merge_profiles(shards: &[&ExecOutcome]) -> Result<ClosedProfile, String> {
 }
 
 /// Routes `INSERT`/`DELETE`/`MUTATE` rows to their owning shards by key range and
-/// applies each shard's part there as one `MUTATE`; untouched shards are skipped
-/// entirely (no generation bump — exactly the rows' owners swap). `answer` renders
-/// the summed `(inserted, deleted)` counts.
+/// applies each shard's rows there as the request `part` builds from its inserts and
+/// deletes: the client's own command, so no shard frame is larger than the client's.
+/// Untouched shards are skipped entirely (no generation bump — exactly the rows'
+/// owners swap). `answer` renders the summed `(inserted, deleted)` counts.
 fn route_mutation(
     state: &CoordinatorState,
     links: &mut Links,
     table: &str,
     inserts: &[Vec<String>],
     deletes: &[Vec<String>],
+    part: impl Fn(Vec<Vec<String>>, Vec<Vec<String>>) -> Request,
     answer: impl Fn(usize, usize) -> String,
 ) -> String {
     let route = match state.route(table) {
@@ -678,13 +694,11 @@ fn route_mutation(
         .zip(delete_buckets)
         .enumerate()
         .filter(|(_, (inserts, deletes))| !inserts.is_empty() || !deletes.is_empty())
-        .map(|(shard, (inserts, deletes))| {
-            (shard, Request::Mutate { table: table.to_string(), inserts, deletes }.render())
-        })
+        .map(|(shard, (inserts, deletes))| (shard, part(inserts, deletes).render()))
         .collect();
     let (mut inserted, mut deleted) = (0, 0);
     let writes = state
-        .fan_out(links, requests, parse_mutated)
+        .fan_out(links, requests, parse_written)
         .into_iter()
         .map(|(shard, write)| {
             let generation = write.map(|(i, d, generation)| {

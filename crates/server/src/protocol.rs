@@ -95,7 +95,7 @@ use std::fmt;
 use std::io::{self, Read, Write};
 use std::sync::{Arc, RwLock};
 
-use pdqi_core::{ClosedProfile, CqaOutcome, FamilyKind, Semantics};
+use pdqi_core::{BatchRequest, ClosedProfile, CqaOutcome, FamilyKind, PreparedQuery, Semantics};
 use pdqi_relation::ValueType;
 
 /// Hard ceiling on a frame's payload size. Frames are statements and answer sets, not
@@ -211,6 +211,16 @@ impl ExecSpec {
             format!("`{mode}` is not an execution mode (use CERTAIN, POSSIBLE, CLOSED or PROFILE)")
         })?;
         Ok(ExecSpec { id: id.to_string(), family, mode })
+    }
+
+    /// The executor request this entry asks of `query`.
+    pub(crate) fn request(&self, query: Arc<PreparedQuery>) -> BatchRequest {
+        match self.mode {
+            ExecMode::Certain => BatchRequest::execute(query, self.family, Semantics::Certain),
+            ExecMode::Possible => BatchRequest::execute(query, self.family, Semantics::Possible),
+            ExecMode::Closed => BatchRequest::consistent_answer(query, self.family),
+            ExecMode::Profile => BatchRequest::profile(query, self.family),
+        }
     }
 }
 

@@ -5,10 +5,10 @@
 //! [`SnapshotRegistry`]. Dispatch is where the serving-core architecture shows:
 //!
 //! * `EXEC`/`BATCH` **pin one snapshot** per request — a [`SnapshotRegistry::read`]
-//!   lease taken once, before any work — and run every query of the request through a
-//!   [`BatchExecutor`] over that snapshot. Answers are bit-identical to calling
-//!   [`pdqi_core::PreparedQuery::execute`] on the leased snapshot directly, and the
-//!   response reports the pinned generation;
+//!   lease taken once, before any work — and run every entry of the request, `PROFILE`
+//!   included, through one [`BatchExecutor`] over that snapshot. Answers are
+//!   bit-identical to calling [`pdqi_core::PreparedQuery::execute`] on the leased
+//!   snapshot directly, and the response reports the pinned generation;
 //! * `SET-PRIORITY` and `ALTER` commit a [`Change`] **off the serving path** through
 //!   [`SnapshotRegistry::commit`]: the replacement snapshot derives (and eagerly
 //!   re-enumerates what the change invalidated) while in-flight readers keep their
@@ -37,8 +37,8 @@ use pdqi_priority::Priority;
 use pdqi_relation::{TupleId, Value, ValueType};
 
 use crate::protocol::{
-    describe_response, exec_response, outcome_line, profile_line, push_rows, rows_block, ExecMode,
-    ExecSpec, Prepared, PreparedMap, Request,
+    describe_response, exec_response, outcome_line, profile_line, push_rows, rows_block, ExecSpec,
+    Prepared, PreparedMap, Request,
 };
 use crate::transport::{listen, Handle, Handler, WireStats};
 
@@ -482,8 +482,9 @@ impl ServerState {
     }
 
     /// Resolves `specs` against the plan cache, pins **one** snapshot lease for all of
-    /// them, and runs them through a [`BatchExecutor`] over that lease. Returns one
-    /// rendered response block per spec and the lease's generation tag.
+    /// them, and answers every spec — open, closed and profile alike — in one
+    /// [`BatchExecutor::run`] over that lease. Returns one rendered response block per
+    /// spec and the lease's generation tag.
     fn execute_specs(&self, specs: &[ExecSpec]) -> Result<(Vec<String>, String), String> {
         let entries = self.prepared.resolve(specs)?;
         let table = &entries[0].table;
@@ -492,46 +493,26 @@ impl ServerState {
             .read(table)
             .ok_or_else(|| format!("no snapshot published for table `{table}`"))?;
         // One pinned snapshot for the whole request: every answer below is bit-identical
-        // to PreparedQuery::execute / consistent_answer on this exact snapshot.
+        // to the sequential PreparedQuery answer on this exact snapshot.
         let executor = BatchExecutor::with_parallelism(
             pdqi_core::EngineSnapshot::clone(lease.snapshot()),
             self.parallelism,
         );
-        // PROFILE specs bypass the executor: a profile walks the repair product in
-        // deterministic order on the leased snapshot itself. Executor blocks are
-        // re-interleaved in spec order below, so mixed batches keep their shape.
         let requests: Vec<BatchRequest> = specs
             .iter()
             .zip(&entries)
-            .filter(|(spec, _)| spec.mode != ExecMode::Profile)
-            .map(|(spec, entry)| {
-                let query = Arc::clone(&entry.query);
-                match spec.mode.semantics() {
-                    Some(semantics) => BatchRequest::execute(query, spec.family, semantics),
-                    None => BatchRequest::consistent_answer(query, spec.family),
-                }
-            })
+            .map(|(spec, entry)| spec.request(Arc::clone(&entry.query)))
             .collect();
-        let mut executor_blocks = executor.run(&requests).into_iter().map(|result| match result {
-            Err(e) => format!("error query error: {e}"),
-            Ok(BatchResponse::Rows(answers)) => {
-                rows_block(answers.columns(), answers.rows().iter())
-            }
-            Ok(BatchResponse::Outcome(outcome)) => outcome_line(&outcome),
-        });
-        let blocks = specs
-            .iter()
-            .zip(&entries)
-            .map(|(spec, entry)| {
-                if spec.mode != ExecMode::Profile {
-                    return executor_blocks
-                        .next()
-                        .expect("one executor block per non-profile spec");
+        let blocks = executor
+            .run(&requests)
+            .into_iter()
+            .map(|result| match result {
+                Err(e) => format!("error query error: {e}"),
+                Ok(BatchResponse::Rows(answers)) => {
+                    rows_block(answers.columns(), answers.rows().iter())
                 }
-                match entry.query.closed_profile(lease.snapshot(), spec.family) {
-                    Ok(profile) => profile_line(&profile),
-                    Err(e) => format!("error query error: {e}"),
-                }
+                Ok(BatchResponse::Outcome(outcome)) => outcome_line(&outcome),
+                Ok(BatchResponse::Profile(profile)) => profile_line(&profile),
             })
             .collect();
         Ok((blocks, format!("gen={}", lease.generation())))

@@ -30,4 +30,4 @@ pub mod parser;
 pub mod session;
 
 pub use parser::{parse_statement, ColumnType, Condition, SelectStatement, Statement};
-pub use session::{QueryResult, Session, SqlError, StatementOutcome};
+pub use session::{split_script, QueryResult, Session, SqlError, StatementOutcome};

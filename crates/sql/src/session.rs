@@ -485,7 +485,7 @@ impl Session {
 
     /// [`Session::subscribe`] with an explicit report strategy and push-queue bound:
     /// `options.strategy` picks per-generation, coalesced or windowed delivery and
-    /// `options.queue_capacity` overrides the manager's per-subscription queue bound.
+    /// `options.queue_capacity` bounds this subscriber's push queue.
     pub fn subscribe_with(
         &mut self,
         sql: &str,
@@ -642,8 +642,9 @@ impl Session {
 }
 
 /// Splits a script into statements at every `;` outside a quoted literal, dropping `--`
-/// comments (which run to the end of their line) and blank statements.
-fn split_script(script: &str) -> Vec<String> {
+/// comments (which run to the end of their line) and blank statements — the split
+/// [`Session::execute_script`] runs, for callers that execute statement by statement.
+pub fn split_script(script: &str) -> Vec<String> {
     let mut statements = vec![String::new()];
     let mut quoted = false;
     let mut chars = script.chars().peekable();

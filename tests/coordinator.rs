@@ -14,11 +14,12 @@ use std::time::Duration;
 use pdqi::datagen::{key_range_split, multi_chain_instance};
 use pdqi::server::{
     coordinate, serve, Client, ClientError, CoordinatorConfig, CoordinatorHandle, ExecMode,
-    ExecOutcome, ServerConfig, ServerHandle,
+    ExecOutcome, ExecSpec, Request, ServerConfig, ServerHandle, MAX_FRAME_BYTES,
 };
 use pdqi::{
     Change, EngineBuilder, EngineSnapshot, FamilyKind, FdSet, Parallelism, PreparedQuery,
-    RelationInstance, RouteSpec, Semantics, ShardPlan, SnapshotRegistry, TupleId, Value,
+    RelationInstance, RelationSchema, RouteSpec, Semantics, ShardPlan, SnapshotRegistry, TupleId,
+    Value, ValueType,
 };
 
 const FAMILIES: [FamilyKind; 5] = [
@@ -458,6 +459,69 @@ fn a_connection_reconnects_once_to_a_restarted_shard() {
 
     client.prepare("q", query).unwrap();
     let (after, _) = client.exec("q", FamilyKind::Global, ExecMode::Certain).unwrap();
+    assert_eq!(after, before);
+    cluster.stop();
+}
+
+#[test]
+fn a_routed_write_at_the_frame_limit_reaches_its_shard() {
+    // R(A INT, B TEXT) with key A -> B, ten rows over two shards.
+    let schema = RelationSchema::from_pairs("R", &[("A", ValueType::Int), ("B", ValueType::Name)]);
+    let schema = Arc::new(schema.unwrap());
+    let rows = (0..10).map(|a| vec![Value::int(a), Value::name("v")]).collect();
+    let instance = RelationInstance::from_rows(Arc::clone(&schema), rows).unwrap();
+    let fds = FdSet::parse(schema, &["A -> B"]).unwrap();
+    let (parts, plan) = key_range_split(&instance, &fds, "A", 2).unwrap();
+    let cluster = Cluster::launch(&parts, &fds, &plan);
+    let mut client = cluster.client();
+
+    // Rows with negative keys all belong to shard 0; padding the last one makes the
+    // INSERT frame exactly as large as the limit allows.
+    let mut rows: Vec<Vec<String>> =
+        (1..=1040).map(|key| vec![(-key).to_string(), "x".repeat(1000)]).collect();
+    let frame = |rows: &[Vec<String>]| {
+        Request::Insert { table: "R".to_string(), rows: rows.to_vec() }.render().len()
+    };
+    let missing = MAX_FRAME_BYTES - frame(&rows);
+    rows[0][1].push_str(&"x".repeat(missing));
+    assert_eq!(frame(&rows), MAX_FRAME_BYTES);
+
+    let (inserted, _) = client.insert("R", &rows).unwrap();
+    assert_eq!(inserted, rows.len());
+    client.prepare("keys", "EXISTS b . R(x,b)").unwrap();
+    let (served, _) = client.exec("keys", FamilyKind::Rep, ExecMode::Certain).unwrap();
+    let ExecOutcome::Rows { rows: served, .. } = served else {
+        panic!("expected rows, got {served:?}");
+    };
+    assert_eq!(served.len(), 10 + rows.len());
+    assert!(rows.iter().all(|row| served.contains(&vec![row[0].clone()])));
+    assert_eq!(client.describe("R").unwrap().rows, 10 + rows.len());
+    cluster.stop();
+}
+
+#[test]
+fn a_shard_frame_over_the_limit_is_refused_without_dropping_the_link() {
+    let (instance, fds) = multi_chain_instance(4, 4);
+    let (parts, plan) = key_range_split(&instance, &fds, "A", 2).unwrap();
+    let cluster = Cluster::launch(&parts, &fds, &plan);
+    let mut client = cluster.client();
+    client.prepare("q", CLOSED_QUERIES[1].1).unwrap();
+    let (before, _) = client.exec("q", FamilyKind::Global, ExecMode::Closed).unwrap();
+
+    // The shards get each CLOSED entry as PROFILE, one byte longer: a BATCH that fits
+    // the limit from the client does not fit it on the way to the shards.
+    let spec = ExecSpec { id: "q".to_string(), family: FamilyKind::Rep, mode: ExecMode::Closed };
+    let specs = vec![spec; 80_000];
+    assert!(Request::Batch(specs.clone()).render().len() <= MAX_FRAME_BYTES);
+    let Err(ClientError::Server(message)) = client.batch(specs) else {
+        panic!("an oversized shard frame must answer ERR");
+    };
+    assert!(message.starts_with("shard 0"), "{message}");
+    assert!(message.contains(&format!("the frame limit is {MAX_FRAME_BYTES}")), "{message}");
+    assert!(!message.contains("unreachable"), "{message}");
+
+    // The connection's links are still in sync.
+    let (after, _) = client.exec("q", FamilyKind::Global, ExecMode::Closed).unwrap();
     assert_eq!(after, before);
     cluster.stop();
 }

@@ -343,7 +343,14 @@ proptest! {
                         prop_assert_eq!(outcome(workers), sequential);
                     }
                     let profile = query.closed_profile(&snapshot.with_cleared_memo(), kind);
-                    prop_assert_eq!(profile.unwrap().outcome(), sequential);
+                    let profile = profile.unwrap();
+                    prop_assert_eq!(profile.outcome(), sequential);
+                    for workers in 2..=4 {
+                        let parallelism = Parallelism::threads(workers);
+                        let fresh = snapshot.with_cleared_memo();
+                        let parallel = query.closed_profile_with(&fresh, kind, parallelism);
+                        prop_assert_eq!(parallel.unwrap(), profile);
+                    }
                 }
             }
         }

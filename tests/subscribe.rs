@@ -35,7 +35,7 @@ use pdqi::server::{serve, Client, PushEvent, ServerConfig};
 use pdqi::{
     AnswerDelta, Change, ChangeReport, EngineBuilder, EngineSnapshot, FamilyKind, Mutation,
     Parallelism, PreparedQuery, Priority, RelationInstance, Semantics, SnapshotRegistry,
-    SubscriptionEvent, SubscriptionManager, TupleId, Value,
+    SubscribeOptions, SubscriptionEvent, SubscriptionManager, TupleId, Value,
 };
 
 /// Commits `mutation` to `table` through the registry's delta path.
@@ -404,11 +404,18 @@ fn overflowing_subscribers_get_one_lagged_resync_then_resume() {
     let (instance, fds) = multi_chain_instance(2, 3);
     let registry = SnapshotRegistry::shared();
     registry.publish("R", EngineBuilder::new().relation(instance, fds).build().unwrap());
-    let manager = SubscriptionManager::with_queue_capacity(parallelism, 1);
+    let manager = SubscriptionManager::new(parallelism);
     manager.attach(&registry);
     let query = Arc::new(PreparedQuery::parse("EXISTS b,c,d . R(x,b,c,d)").unwrap());
+    let options = SubscribeOptions { queue_capacity: Some(1), ..SubscribeOptions::default() };
     let subscribed = manager
-        .subscribe(&registry, Arc::clone(&query), FamilyKind::Global, Semantics::Certain)
+        .subscribe_with(
+            &registry,
+            Arc::clone(&query),
+            FamilyKind::Global,
+            Semantics::Certain,
+            options,
+        )
         .unwrap();
 
     let insert = |i: i64| {
