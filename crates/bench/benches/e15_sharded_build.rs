@@ -1,10 +1,11 @@
-//! E15 — scaling of the sharded snapshot builder and of shard revalidation.
+//! E15 — scaling of the parallel snapshot builder and of priority revalidation.
+//! (The bench ids keep their historical `e15_sharded_build` name, so baselines match.)
 //!
 //! Three workloads, each at 1/2/4/8 workers so the fan-out curve is read directly off
 //! the report:
 //!
 //! * `build` — [`EngineBuilder::build_with`] over 8 relations × 2 FDs: stage 1 fans one
-//!   conflict-scan job per `(relation, FD)` shard, stage 2 one assembly job per
+//!   conflict-scan job per `(relation, FD)` pair, stage 2 one assembly job per
 //!   relation, stage 3 stitches `comp_offset`s sequentially (bit-identical output at
 //!   every degree);
 //! * `revalidate` — [`EngineSnapshot::derive`] of a priority change on a warmed skewed
@@ -41,7 +42,7 @@ fn bench(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(150));
 
     // Workload 1: building a multi-relation snapshot (8 relations, 2 FDs each: 16
-    // conflict-scan shards + 8 assembly jobs per build).
+    // conflict-scan jobs + 8 assembly jobs per build).
     let relations = multi_chain_relations(8, 16, 12);
     let reference = {
         let mut builder = EngineBuilder::new();
@@ -51,7 +52,6 @@ fn bench(c: &mut Criterion) {
         builder.build().expect("reference build")
     };
     let expected_components = reference.component_count();
-    let expected_shards = reference.shard_count();
     for workers in WORKERS {
         group.bench_with_input(BenchmarkId::new("build/threads", workers), &workers, |b, &n| {
             b.iter(|| {
@@ -59,9 +59,8 @@ fn bench(c: &mut Criterion) {
                 for (instance, fds) in &relations {
                     builder = builder.relation(instance.clone(), fds.clone());
                 }
-                let snapshot = builder.build().expect("sharded build");
+                let snapshot = builder.build().expect("parallel build");
                 assert_eq!(snapshot.component_count(), expected_components);
-                assert_eq!(snapshot.shard_count(), expected_shards);
                 snapshot.component_count()
             })
         });

@@ -161,7 +161,6 @@ impl Interpreter {
             "tables" => Ok(self.tables()),
             "schema" => self.schema(&args),
             "conflicts" => self.conflicts(&args),
-            "shards" => self.shards(&args),
             "count" => self.count(&args),
             "repairs" => self.repairs(&args),
             "preferred" => self.preferred(&args),
@@ -271,32 +270,6 @@ impl Interpreter {
                 "  {} <-> {}{orientation}",
                 instance.tuple_unchecked(a),
                 instance.tuple_unchecked(b)
-            );
-        }
-        Ok(out)
-    }
-
-    fn shards(&mut self, args: &[&str]) -> Result<String, CliError> {
-        let (snapshot, table) = self.snapshot_for(args, ".shards <table>")?;
-        let shards = snapshot.shards_of(&table).unwrap_or_default();
-        if shards.is_empty() {
-            return Ok(format!("`{table}` is conflict-free (no shards)"));
-        }
-        let mut out = format!(
-            "{} shard(s) over {} conflict component(s)\n",
-            shards.len(),
-            snapshot.component_count()
-        );
-        for (index, shard) in shards.iter().enumerate() {
-            let range = shard.component_range();
-            let _ = writeln!(
-                out,
-                "  shard #{}: components {}..{} ({} component(s), {} tuple(s))",
-                index + 1,
-                range.start,
-                range.end,
-                shard.component_count(),
-                shard.tuple_count()
             );
         }
         Ok(out)
@@ -578,7 +551,6 @@ meta commands:
   .tables                                   list tables
   .schema <table>                           schema and functional dependencies
   .conflicts <table>                        list conflicting tuple pairs
-  .shards <table>                           shard layout (component groups and sizes)
   .count <table>                            number of repairs
   .repairs <table> [limit]                  list repairs
   .preferred <table> <family> [limit]       list preferred repairs (ALL/L/S/G/C)
@@ -1080,22 +1052,6 @@ mod tests {
         );
         // In-range requests report without the clamp note.
         assert_eq!(interpreter.run_line(".threads 3").unwrap(), "using 3 worker thread(s)");
-    }
-
-    #[test]
-    fn shards_are_rendered_per_table() {
-        let mut interpreter = loaded();
-        let shards = interpreter.run_line(".shards Mgr").unwrap();
-        // Example 1's four tuples form one conflict component, hence one shard.
-        assert!(shards.starts_with("1 shard(s) over 1 conflict component(s)"), "{shards}");
-        assert!(shards.contains("4 tuple(s)"), "{shards}");
-        interpreter
-            .run_line("CREATE TABLE Clean (A INT, B INT)")
-            .and_then(|_| interpreter.run_line("INSERT INTO Clean VALUES (1, 2)"))
-            .unwrap();
-        let clean = interpreter.run_line(".shards Clean").unwrap();
-        assert!(clean.contains("conflict-free"), "{clean}");
-        assert!(interpreter.run_line(".shards").is_err());
     }
 
     #[test]

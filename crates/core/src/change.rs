@@ -15,17 +15,19 @@
 //!      ├─ affected region   changed components plus conflict-free tuples a new edge drags in
 //!      ├─ re-partition      components recomputed for the region only (BFS in ascending id
 //!      │                    order); untouched components carry over, remapped
-//!      ├─ stitch            component offsets and shard plans in relation order
-//!      ├─ carry             every untouched (component, family) memo entry, answer and plan
-//!      │                    survives with tuple ids and global component ids remapped
+//!      ├─ stitch            component offsets in relation order
+//!      ├─ carry             every untouched (component, family) memo entry survives in its
+//!      │                    component's new slot, tuple ids remapped; a query entry survives
+//!      │                    unless it reads a re-partitioned relation, or is not under Rep
+//!      │                    and reads a relation whose priority touched a component
 //!      └─ re-enumerate      the invalidated slice, eagerly across workers, largest first
 //!                           (priority: exactly the dropped entries; mutation and FD: each
 //!                           family the parent had memoised, on every re-partitioned component)
 //! ```
 //!
 //! A derived snapshot is **bit-identical to a fresh build** of the changed state — same
-//! tuple ids, conflict graph, component order and global ids, shard plans, preferred
-//! repairs in enumeration order and answers — at every degree of parallelism (pinned by
+//! tuple ids, conflict graph, component order and global ids, preferred repairs in
+//! enumeration order and answers — at every degree of parallelism (pinned by
 //! the `incremental`, `schema_delta` and `prepared_api` suites). A no-op mutation or an
 //! FD the existing set already implies shares the parent's graph and its whole memo; an
 //! FD derivation shares the columnar view, since the instance does not change.
@@ -221,7 +223,7 @@ pub struct ChangeReport {
 
 /// One relation's derived entry plus what the shared stitch needs to know.
 struct Step {
-    /// The new entry, before offset and shard stitching.
+    /// The new entry, before offset stitching.
     entry: RelationEntry,
     /// Old local component → new local component; `None` marks a re-partitioned one.
     carried: Vec<Option<usize>>,
@@ -246,7 +248,7 @@ impl Step {
         }
     }
 
-    /// Whether the relation's repair space changed for every family: answers and plans
+    /// Whether the relation's repair space changed for every family: memoised queries
     /// reading it cannot be carried.
     fn reshaped(&self) -> bool {
         self.id_map.is_some() || !self.fresh.is_empty()
@@ -573,10 +575,10 @@ impl EngineSnapshot {
     }
 
     /// The one stitch/carry/re-enumerate routine behind [`EngineSnapshot::derive`]:
-    /// assigns component offsets and shard plans in relation order, carries the memo,
-    /// answers and plans through the old → new global component map, and eagerly
-    /// re-enumerates the invalidated slice. Returns the derived snapshot plus the global
-    /// ids of its re-partitioned and priority-touched components.
+    /// assigns component offsets in relation order, carries the component memo slot by
+    /// slot and the query memo relation by relation, and eagerly re-enumerates the
+    /// invalidated slice. Returns the derived snapshot plus the global ids of its
+    /// re-partitioned and priority-touched components.
     fn assemble(
         &self,
         steps: Vec<Step>,
@@ -584,112 +586,83 @@ impl EngineSnapshot {
         report: &mut ChangeReport,
     ) -> (EngineSnapshot, BTreeSet<usize>) {
         let entries = self.entries();
+        let parent = &self.inner.memo;
+        let memo = Memo::new(steps.iter().map(|step| step.entry.components.len()).sum());
         let mut relations = Vec::with_capacity(steps.len());
-        let mut global_map: Vec<Option<usize>> = vec![None; self.component_count()];
-        let mut touched = vec![false; self.component_count()];
         let mut reshaped = Vec::with_capacity(steps.len());
-        let mut id_maps = Vec::with_capacity(steps.len());
-        let mut fresh_jobs: Vec<(usize, usize)> = Vec::new();
+        let mut touched = Vec::with_capacity(steps.len());
+        let mut jobs: Vec<(usize, usize, FamilyKind)> = Vec::new();
         let mut affected = BTreeSet::new();
         let mut offset = 0usize;
         for (rel, step) in steps.into_iter().enumerate() {
             let old = &entries[rel];
+            // Every entry of a carried component survives in its new slot with tuple ids
+            // remapped (the monotone remap preserves the repairs and their order) —
+            // except priority-sensitive entries of touched components, which are the
+            // priority revision's re-enumeration set. The families seen feed the
+            // re-enumeration of re-partitioned components.
+            let mut families: Vec<FamilyKind> = Vec::new();
             for (old_local, new_local) in step.carried.iter().enumerate() {
-                global_map[old.comp_offset + old_local] = new_local.map(|local| offset + local);
-            }
-            for &local in &step.touched {
-                touched[old.comp_offset + local] = true;
-                affected.insert(offset + local);
+                for (kind, sets) in parent.memoised(old.comp_offset + old_local) {
+                    if !families.contains(&kind) {
+                        families.push(kind);
+                    }
+                    let Some(local) = *new_local else { continue };
+                    if kind != FamilyKind::Rep && step.touched.contains(&old_local) {
+                        jobs.push((rel, local, kind));
+                        continue;
+                    }
+                    let value = match &step.id_map {
+                        None => Arc::clone(sets),
+                        Some(id_map) => Arc::new(
+                            sets.iter()
+                                .map(|set| {
+                                    set.iter()
+                                        .map(|id| id_map[id.index()].expect("survivor"))
+                                        .collect()
+                                })
+                                .collect(),
+                        ),
+                    };
+                    memo.store_component(offset + local, kind, value);
+                    report.carried_entries += 1;
+                }
             }
             for &local in &step.fresh {
-                fresh_jobs.push((rel, local));
-                affected.insert(offset + local);
+                jobs.extend(families.iter().map(|&kind| (rel, local, kind)));
             }
+            affected.extend(step.touched.iter().chain(&step.fresh).map(|&local| offset + local));
             report.invalidated_components +=
                 step.touched.len() + step.carried.iter().filter(|c| c.is_none()).count();
             reshaped.push(step.reshaped());
-            id_maps.push(step.id_map);
-            // The shard plan is a function of the component list and the offset only.
-            let entry = if Arc::ptr_eq(&step.entry.components, &old.components)
-                && old.comp_offset == offset
-            {
-                step.entry
-            } else {
-                step.entry.with_offset(rel, offset)
-            };
+            touched.push(!step.touched.is_empty());
+            let mut entry = step.entry;
+            entry.comp_offset = offset;
             offset += entry.components.len();
             relations.push(entry);
         }
 
-        // Component memo: every entry of a carried component survives with its global
-        // id and tuple ids remapped (the monotone remap preserves the repairs and their
-        // order) — except priority-sensitive entries of touched components, which are
-        // the priority revision's re-enumeration set. Families seen per relation feed
-        // the re-enumeration of re-partitioned components.
-        let memo = Memo::default();
-        let mut families: Vec<Vec<FamilyKind>> = vec![Vec::new(); entries.len()];
-        let mut jobs: Vec<(usize, FamilyKind)> = Vec::new();
-        self.inner.memo.components.for_each(|&(old_global, kind), sets| {
-            let (rel, _) = self.locate_component(old_global);
-            if !families[rel].contains(&kind) {
-                families[rel].push(kind);
-            }
-            let Some(new_global) = global_map[old_global] else { return };
-            if touched[old_global] && kind != FamilyKind::Rep {
-                jobs.push((new_global, kind));
-                return;
-            }
-            let value = match &id_maps[rel] {
-                None => Arc::clone(sets),
-                Some(id_map) => Arc::new(
-                    sets.iter()
-                        .map(|set| {
-                            set.iter().map(|id| id_map[id.index()].expect("survivor")).collect()
-                        })
-                        .collect(),
-                ),
-            };
-            memo.components.insert_if_missing((new_global, kind), &value);
-            report.carried_entries += 1;
-        });
-
-        // Answers and plans survive unless they read a reshaped relation or, when
-        // priority-sensitive, depend on a touched component; their component ids remap.
-        let keep = |relations: &[usize], depends_on: &[usize], sensitive: bool| {
-            let dropped = relations.iter().any(|&rel| reshaped[rel])
-                || (sensitive && depends_on.iter().any(|&comp| touched[comp]));
-            let remap = || depends_on.iter().map(|&comp| global_map[comp]).collect();
-            (!dropped).then(remap).flatten()
-        };
-        memo.carry_answers_from(&self.inner.memo, |a| {
-            keep(&a.relations, &a.depends_on, a.priority_sensitive)
-        });
-        memo.carry_plans_from(&self.inner.memo, |p| {
-            keep(&p.relations, &p.depends_on, p.priority_sensitive)
+        // A query entry survives unless it reads a reshaped relation or, under a
+        // priority-sensitive family, a relation with a touched component.
+        memo.carry_queries_from(parent, |family, reads| {
+            let sensitive = family != FamilyKind::Rep;
+            !reads.iter().any(|&rel| reshaped[rel] || (sensitive && touched[rel]))
         });
 
         let derived = EngineSnapshot {
             inner: Arc::new(SnapshotInner { relations, by_name: self.inner.by_name.clone(), memo }),
         };
-        for (rel, local) in fresh_jobs {
-            let global = derived.entries()[rel].comp_offset + local;
-            jobs.extend(families[rel].iter().map(|&kind| (global, kind)));
-        }
         // `Rep` first within a component: the other families derive from its memo
         // entry instead of re-running the independent-set search.
-        jobs.sort_unstable_by_key(|&(global, kind)| (global, kind as u8));
+        jobs.sort_unstable_by_key(|&(rel, local, kind)| (rel, local, kind as u8));
         let weights: Vec<u128> = jobs
             .iter()
-            .map(|&(global, _)| {
-                let (rel, local) = derived.locate_component(global);
-                derived.entries()[rel].components[local].len() as u128
-            })
+            .map(|&(rel, local, _)| derived.entries()[rel].components[local].len() as u128)
             .collect();
         let order = pdqi_solve::mis::schedule_by_descending_weight(&weights);
-        let jobs: Vec<(usize, FamilyKind)> = order.into_iter().map(|i| jobs[i]).collect();
+        let jobs: Vec<(usize, usize, FamilyKind)> = order.into_iter().map(|i| jobs[i]).collect();
         crate::parallel::run_jobs(parallelism, jobs.len(), |i| {
-            let (global, kind) = jobs[i];
-            let (rel, local) = derived.locate_component(global);
+            let (rel, local, kind) = jobs[i];
             derived.component_preferred(rel, local, kind);
         });
         report.recomputed_entries = jobs.len();
@@ -757,7 +730,6 @@ mod tests {
         let fresh = pairs_of(&[(0, 0), (0, 1), (1, 0), (2, 0), (2, 1), (1, 2)]);
         assert_eq!(derived.graph().edges(), fresh.graph().edges());
         assert_eq!(derived.component_count(), fresh.component_count());
-        assert_eq!(derived.shards(), fresh.shards());
         assert_eq!(
             derived.preferred_repairs(FamilyKind::Rep, usize::MAX),
             fresh.preferred_repairs(FamilyKind::Rep, usize::MAX)
@@ -847,7 +819,6 @@ mod tests {
         let fresh = snapshot_of(&ABC, &rows, &["A -> B", "A -> C"]);
         assert_eq!(derived.graph().edges(), fresh.graph().edges());
         assert_eq!(derived.component_count(), fresh.component_count());
-        assert_eq!(derived.shards(), fresh.shards());
         assert_eq!(
             derived.preferred_repairs(FamilyKind::Rep, usize::MAX),
             fresh.preferred_repairs(FamilyKind::Rep, usize::MAX)

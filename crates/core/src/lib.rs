@@ -128,7 +128,7 @@ pub use registry::{
 };
 pub use repair::RepairContext;
 pub use shard_plan::{RouteSpec, ShardPlan, ShardPlanError};
-pub use snapshot::{BuildError, EngineBuilder, EngineSnapshot, MemoStats, Shard};
+pub use snapshot::{BuildError, EngineBuilder, EngineSnapshot, MemoStats};
 pub use subscribe::{
     AnswerDelta, SubscribeError, SubscribeOptions, SubscribeStats, Subscribed, SubscriptionEvent,
     SubscriptionInfo, SubscriptionManager,

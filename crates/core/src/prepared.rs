@@ -5,12 +5,12 @@
 //! any [`FamilyKind`] and [`Semantics`]. Execution runs through one pipeline for every
 //! query shape:
 //!
-//! 1. look up the snapshot's answer memo under `(components, family, fingerprint)` —
+//! 1. look up the query's entry in the snapshot's memo under `(fingerprint, family)` —
 //!    repeated executions return immediately;
-//! 2. otherwise plan the query and walk the product of the preferred repairs of the
-//!    *relevant* components only (the components of the relations the query
-//!    mentions), assembled from the snapshot's per-component memo, evaluating the query
-//!    per repair;
+//! 2. otherwise plan the query (the plan is memoised in the same entry) and walk the
+//!    product of the preferred repairs of the *relevant* components only (the
+//!    components of the relations the query mentions), assembled from the snapshot's
+//!    per-component memo, evaluating the query per repair;
 //! 3. store the result in the memo and hand back a streaming [`AnswerSet`] cursor over
 //!    the shared row buffer.
 //!
@@ -19,7 +19,7 @@
 //! the one-chunk case) and merged in chunk order.
 //!
 //! A closed query has one answer path, [`PreparedQuery::closed_profile_with`]: its
-//! [`ClosedProfile`] is memoised in the query's closed entry, and the preferred
+//! [`ClosedProfile`] is memoised in the query's memo entry, and the preferred
 //! consistent answer ([`PreparedQuery::consistent_answer`]) is the profile's replay.
 //! So `CLOSED` and `PROFILE` reads of one query share one walk and one memo entry,
 //! and neither depends on which came first. Ground queries under the plain repair
@@ -41,7 +41,7 @@ use crate::cqa::CqaOutcome;
 use crate::cqa_ground::ground_consistent_answer;
 use crate::families::FamilyKind;
 use crate::parallel::{run_jobs, Parallelism};
-use crate::snapshot::{AnswerKey, AnswerMode, EngineSnapshot};
+use crate::snapshot::{EngineSnapshot, QueryParts};
 
 /// Which answers an open-query execution returns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -50,15 +50,6 @@ pub enum Semantics {
     Certain,
     /// Rows that are answers in **some** preferred repair (possible answers).
     Possible,
-}
-
-impl Semantics {
-    fn mode(self) -> AnswerMode {
-        match self {
-            Semantics::Certain => AnswerMode::Certain,
-            Semantics::Possible => AnswerMode::Possible,
-        }
-    }
 }
 
 /// A query parsed, classified and fingerprinted once, executable many times.
@@ -169,8 +160,9 @@ impl PreparedQuery {
     ///
     /// Works for open and closed queries alike: a closed query yields one zero-column
     /// row when the chosen semantics holds and no row otherwise. Results are memoised in
-    /// the snapshot under `(components, family, fingerprint)` — a second execution with
-    /// the same key streams from the shared buffer without re-enumerating anything.
+    /// the snapshot under `(fingerprint, family)` — a second execution with the same
+    /// key and semantics streams from the shared buffer without re-enumerating
+    /// anything.
     pub fn execute(
         &self,
         snapshot: &EngineSnapshot,
@@ -199,10 +191,11 @@ impl PreparedQuery {
         semantics: Semantics,
         parallelism: Parallelism,
     ) -> Result<AnswerSet, QueryError> {
-        let key = AnswerKey { fingerprint: self.fingerprint, family: kind, mode: semantics.mode() };
-        if let Some(answers) =
-            snapshot.cached_answer(&key, &self.formula, |entry| Some(entry.answers.clone()))
-        {
+        let memoised = |parts: &QueryParts| match semantics {
+            Semantics::Certain => parts.certain.clone(),
+            Semantics::Possible => parts.possible.clone(),
+        };
+        if let Some(answers) = snapshot.cached_answer(self, kind, memoised) {
             return Ok(answers);
         }
         let relevant = self.relevant_relations(snapshot);
@@ -226,8 +219,13 @@ impl PreparedQuery {
         }
         let rows: Arc<Vec<Vec<Value>>> = Arc::new(merged.unwrap_or_default().into_iter().collect());
         let answers = AnswerSet::new(Arc::new(self.free.clone()), rows);
-        let entry = snapshot.store_answer(key, &self.formula, &relevant, answers, None, None);
-        Ok(entry.answers.clone())
+        let mut parts = QueryParts::default();
+        match semantics {
+            Semantics::Certain => parts.certain = Some(answers.clone()),
+            Semantics::Possible => parts.possible = Some(answers.clone()),
+        }
+        snapshot.store_query(self, kind, &relevant, parts);
+        Ok(answers)
     }
 
     /// The preferred consistent answer to a closed query (Definition 3): whether the
@@ -263,15 +261,13 @@ impl PreparedQuery {
         // single-relation snapshot.
         let ground = kind == FamilyKind::Rep && self.class == QueryClass::Ground;
         if ground && snapshot.relation_count() == 1 {
-            let key = self.closed_key(kind);
-            if let Some(outcome) = snapshot.cached_answer(&key, &self.formula, |entry| entry.ground)
-            {
+            if let Some(outcome) = snapshot.cached_answer(self, kind, |parts| parts.ground) {
                 return Ok(outcome);
             }
             if let Some(outcome) = self.ground_outcome(snapshot) {
                 let relevant = self.relevant_relations(snapshot);
-                let empty = AnswerSet::new(Arc::default(), Arc::default());
-                snapshot.store_answer(key, &self.formula, &relevant, empty, Some(outcome), None);
+                let parts = QueryParts { ground: Some(outcome), ..QueryParts::default() };
+                snapshot.store_query(self, kind, &relevant, parts);
                 return Ok(outcome);
             }
         }
@@ -294,8 +290,8 @@ impl PreparedQuery {
     /// This is what the scatter-gather coordinator's `PROFILE` surface merges across
     /// shards.
     ///
-    /// The profile is memoised in the snapshot's answer memo, in the same entry as the
-    /// query's closed outcome, so a second profile — or a later
+    /// The profile is memoised in the query's memo entry, beside the query's closed
+    /// outcome, so a second profile — or a later
     /// [`PreparedQuery::consistent_answer`] — of the same query and family is a memo
     /// hit.
     pub fn closed_profile(
@@ -323,8 +319,7 @@ impl PreparedQuery {
         parallelism: Parallelism,
     ) -> Result<ClosedProfile, QueryError> {
         self.require_closed()?;
-        let key = self.closed_key(kind);
-        if let Some(profile) = snapshot.cached_answer(&key, &self.formula, |entry| entry.profile) {
+        if let Some(profile) = snapshot.cached_answer(self, kind, |parts| parts.profile) {
             return Ok(profile);
         }
         let relevant = self.relevant_relations(snapshot);
@@ -343,14 +338,9 @@ impl PreparedQuery {
         )?;
         let walked = chunks.into_iter().fold(ClosedProfile::default(), ClosedProfile::then);
         let profile = ClosedProfile { total, ..walked };
-        let empty = AnswerSet::new(Arc::default(), Arc::default());
-        snapshot.store_answer(key, &self.formula, &relevant, empty, None, Some(profile));
+        let parts = QueryParts { profile: Some(profile), ..QueryParts::default() };
+        snapshot.store_query(self, kind, &relevant, parts);
         Ok(profile)
-    }
-
-    /// The memo key of this query's closed answer under `kind`.
-    fn closed_key(&self, kind: FamilyKind) -> AnswerKey {
-        AnswerKey { fingerprint: self.fingerprint, family: kind, mode: AnswerMode::Closed }
     }
 
     /// Closed answers need a closed query.
@@ -507,8 +497,8 @@ impl PreparedQuery {
         evaluator
     }
 
-    /// The physical plan for this query on this snapshot: served from the snapshot's
-    /// plan cache when this `(fingerprint, family)` was costed before (and the swap
+    /// The physical plan for this query on this snapshot: served from the query's memo
+    /// entry when this `(fingerprint, family)` was costed before (and the swap
     /// derivations carried it), costed fresh from the memo's cardinalities otherwise.
     /// `None` when the naive fixed strategy is forced (`PDQI_FORCE_NAIVE_PLAN=1` /
     /// [`pdqi_query::force_naive_plan`]).
@@ -523,14 +513,15 @@ impl PreparedQuery {
             pdqi_query::planner::note_naive();
             return None;
         }
-        if let Some(entry) = snapshot.cached_plan(self.fingerprint, kind, &self.formula) {
+        if let Some(plan) = snapshot.memoised_part(self, kind, |parts| parts.plan.clone()) {
             pdqi_query::planner::note_plan_cache_hit();
-            return Some(Arc::clone(&entry.plan));
+            return Some(plan);
         }
         let inputs = self.planner_inputs(snapshot, kind, relevant, parallelism);
-        let plan = pdqi_query::planner::plan(&self.formula, &inputs);
-        let entry = snapshot.store_plan(self.fingerprint, kind, &self.formula, relevant, plan);
-        Some(Arc::clone(&entry.plan))
+        let plan = Arc::new(pdqi_query::planner::plan(&self.formula, &inputs));
+        let parts = QueryParts { plan: Some(Arc::clone(&plan)), ..QueryParts::default() };
+        snapshot.store_query(self, kind, relevant, parts);
+        Some(plan)
     }
 
     /// Assembles the planner's cardinality inputs from the snapshot: relation row

@@ -23,39 +23,38 @@
 //!   components the change touches are re-partitioned and re-enumerated, everything
 //!   else — graph, components, memo entries — is shared or carried over.
 //!
-//! # The shard layer
+//! # Parallel construction
 //!
-//! Construction and revalidation are **sharded** so they fan out over the
-//! [`crate::parallel`] pool, exploiting the same observation that makes the memo safe:
-//! conflicts and priority edges never cross connected components. The decomposition,
-//! from coarse to fine:
+//! Construction and revalidation fan out over the [`crate::parallel`] pool, exploiting
+//! the same observation that makes the memo safe: conflicts and priority edges never
+//! cross connected components. The decomposition, from coarse to fine:
 //!
 //! ```text
-//! instance ──(per-FD conflict scans, one shard job per (relation, FD))──► conflict graph
-//!    │                                                                        │
-//!    └► relation entry ◄──(per-relation assembly: priority + components)──────┘
+//! instance ──(per-FD conflict scans, one job per (relation, FD))──► conflict graph
+//!    │                                                                  │
+//!    └► relation entry ◄──(per-relation assembly: priority + components)┘
 //!            │
-//!            ├── components [c₀, c₁, …]      (global ids assigned via comp_offset)
-//!            ├── shards     [Shard {components: i..j, tuples}]   (contiguous,
-//!            │                tuple-balanced runs of components — the unit of
-//!            │                revalidation fan-out and adaptive chunk estimates)
-//!            └── memo       component id → stripe (id mod STRIPES) → preferred repairs
+//!            └── components [c₀, c₁, …]   (global ids assigned via comp_offset)
+//!
+//! memo ── one slot per global component id, one cell per family → preferred repairs
+//!      └─ one entry per (query fingerprint, family) → plan, answers, closed outcome
 //! ```
 //!
 //! Every parallel path is **bit-identical** to its sequential counterpart: per-FD edge
-//! shards merge by set union, component order is a deterministic function of the graph,
+//! lists merge by set union, component order is a deterministic function of the graph,
 //! and `comp_offset` is assigned in relation insertion order after the fan-out — so a
 //! snapshot built with any [`Parallelism`] has the same components, the same global
 //! component ids, the same repairs and the same answers as a sequential build.
 //!
 //! Queries are executed against snapshots through [`crate::prepared::PreparedQuery`],
-//! which adds a second memo level keyed by `(component set, family, query fingerprint)`.
+//! whose plans and answers the memo keeps in one entry per `(query fingerprint,
+//! family)`.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
-use std::ops::{ControlFlow, Range};
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 use pdqi_constraints::{fd_conflict_edges, ConflictGraph, FdSet};
 use pdqi_priority::{
@@ -69,7 +68,7 @@ use crate::cqa::CqaOutcome;
 use crate::families::FamilyKind;
 use crate::optimality::{is_locally_optimal, is_semi_globally_optimal, preferred_over};
 use crate::parallel::Parallelism;
-use crate::prepared::{AnswerSet, ClosedProfile, SelectionCursor};
+use crate::prepared::{AnswerSet, ClosedProfile, PreparedQuery, SelectionCursor};
 use crate::repair::RepairContext;
 
 /// Errors raised while assembling a snapshot.
@@ -245,8 +244,8 @@ impl EngineBuilder {
     /// 2. **relation assembly** — one job per relation merges its edge shards into the
     ///    conflict graph (a set union, order-insensitive), orients the priority and
     ///    partitions the graph into components;
-    /// 3. **sequential stitching** — duplicate checks, error selection, `comp_offset`
-    ///    assignment and shard planning walk the relations in insertion order, so names,
+    /// 3. **sequential stitching** — duplicate checks, error selection and
+    ///    `comp_offset` assignment walk the relations in insertion order, so names,
     ///    global component ids and reported errors match the sequential build exactly.
     ///
     /// Stages 1–2 run speculatively for *every* relation so that stage 3 can replay the
@@ -317,7 +316,7 @@ impl EngineBuilder {
 
         // Stage 3 — sequential stitching in insertion order: the duplicate check and the
         // first reported error interleave per relation exactly like the sequential
-        // single-pass build, and `comp_offset` / shard plans are assigned in order.
+        // single-pass build, and `comp_offset` is assigned in order.
         let mut entries = Vec::with_capacity(names.len());
         let mut by_name = BTreeMap::new();
         let mut comp_offset = 0usize;
@@ -325,20 +324,19 @@ impl EngineBuilder {
             if by_name.insert(names[rel].clone(), entries.len()).is_some() {
                 return Err(BuildError::DuplicateRelation { relation: names[rel].clone() });
             }
-            let entry = result.expect("every relation was assembled")?;
-            let entry = entry.with_offset(rel, comp_offset);
+            let mut entry = result.expect("every relation was assembled")?;
+            entry.comp_offset = comp_offset;
             comp_offset += entry.components.len();
             entries.push(entry);
         }
-        Ok(EngineSnapshot {
-            inner: Arc::new(SnapshotInner { relations: entries, by_name, memo: Memo::default() }),
-        })
+        let memo = Memo::new(comp_offset);
+        Ok(EngineSnapshot { inner: Arc::new(SnapshotInner { relations: entries, by_name, memo }) })
     }
 }
 
 /// Stage-2 assembly of one relation: merge its per-FD edge shards into the conflict
 /// graph, orient the priority source over it, and partition the components (the
-/// `comp_offset` and shard plan are stitched in afterwards, in relation order).
+/// `comp_offset` is stitched in afterwards, in relation order).
 fn assemble_relation(
     spec: RelationSpec,
     edge_lists: &[EdgeList],
@@ -373,102 +371,6 @@ fn assemble_relation(
     Ok(RelationEntry::new(Arc::new(ctx), priority))
 }
 
-/// One shard of a relation's conflict structure: a contiguous, tuple-balanced run of the
-/// relation's non-trivial connected components.
-///
-/// Shards are planned deterministically at build time (a pure function of the component
-/// partition, independent of the build's parallelism) and are the coarse unit of the
-/// shard layer described in the [module docs](self): builds fan out per `(relation,
-/// FD)` and per relation, revalidation and warming fan out per component, and the
-/// component memo is striped by global component id. Shard metadata is what ties those
-/// levels together for observability (`.shards` in the CLI) and for the adaptive
-/// chunking estimates of [`crate::PreparedQuery::execute_with`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Shard {
-    /// Index of the relation inside its snapshot.
-    relation: usize,
-    /// Local (per-relation) component indices covered by this shard.
-    local_components: Range<usize>,
-    /// Global id of the shard's first component.
-    comp_offset: usize,
-    /// Total tuples across the shard's components.
-    tuples: usize,
-}
-
-impl Shard {
-    /// Index of the relation this shard belongs to (snapshot entry order).
-    pub fn relation(&self) -> usize {
-        self.relation
-    }
-
-    /// The **global** component ids covered by this shard (contiguous by construction).
-    pub fn component_range(&self) -> Range<usize> {
-        self.comp_offset..self.comp_offset + self.local_components.len()
-    }
-
-    /// Number of components in this shard (always at least 1).
-    pub fn component_count(&self) -> usize {
-        self.local_components.len()
-    }
-
-    /// Total tuples across this shard's components.
-    pub fn tuple_count(&self) -> usize {
-        self.tuples
-    }
-}
-
-/// Upper bound on the number of shards one relation's components are partitioned into.
-/// Shards are scheduling metadata, not storage: a small fixed fan-out keeps planning
-/// O(components) while still feeding enough independent units to the worker pool.
-const MAX_SHARDS_PER_RELATION: usize = 16;
-
-/// Partitions `components` into at most [`MAX_SHARDS_PER_RELATION`] contiguous shards
-/// balancing tuple counts (components stay in component-id order, so shard boundaries
-/// are deterministic and independent of parallelism).
-pub(crate) fn plan_shards(
-    relation: usize,
-    comp_offset: usize,
-    components: &[TupleSet],
-) -> Vec<Shard> {
-    if components.is_empty() {
-        return Vec::new();
-    }
-    let shard_count = components.len().min(MAX_SHARDS_PER_RELATION);
-    let total_tuples: usize = components.iter().map(TupleSet::len).sum();
-    let target = total_tuples.div_ceil(shard_count);
-    let mut shards = Vec::with_capacity(shard_count);
-    let mut start = 0usize;
-    let mut tuples = 0usize;
-    for (index, component) in components.iter().enumerate() {
-        tuples += component.len();
-        let remaining_components = components.len() - index - 1;
-        let remaining_shards = shard_count - shards.len() - 1;
-        // Close the shard once it reaches the tuple target — but never leave fewer
-        // components than shards still to fill, and never close the last shard early.
-        let must_close = remaining_components == remaining_shards;
-        if remaining_shards > 0
-            && remaining_components >= remaining_shards
-            && (tuples >= target || must_close)
-        {
-            shards.push(Shard {
-                relation,
-                local_components: start..index + 1,
-                comp_offset: comp_offset + start,
-                tuples,
-            });
-            start = index + 1;
-            tuples = 0;
-        }
-    }
-    shards.push(Shard {
-        relation,
-        local_components: start..components.len(),
-        comp_offset: comp_offset + start,
-        tuples,
-    });
-    shards
-}
-
 /// One relation frozen inside a snapshot.
 pub(crate) struct RelationEntry {
     /// Instance, constraints and conflict graph (shared with derived snapshots).
@@ -483,8 +385,6 @@ pub(crate) struct RelationEntry {
     pub(crate) comp_of: Arc<Vec<usize>>,
     /// Global id of this relation's first component within the snapshot.
     pub(crate) comp_offset: usize,
-    /// The shard plan: contiguous, tuple-balanced runs of this relation's components.
-    pub(crate) shards: Arc<Vec<Shard>>,
 }
 
 impl RelationEntry {
@@ -501,7 +401,7 @@ impl RelationEntry {
     }
 
     /// An entry over the given non-trivial components (in component-id order); every
-    /// other tuple is conflict-free. Offset and shard plan are stitched in afterwards.
+    /// other tuple is conflict-free. The offset is stitched in afterwards.
     pub(crate) fn from_components(
         ctx: Arc<RepairContext>,
         priority: Priority,
@@ -524,16 +424,7 @@ impl RelationEntry {
             base: Arc::new(base),
             comp_of: Arc::new(comp_of),
             comp_offset: 0,
-            shards: Arc::new(Vec::new()),
         }
-    }
-
-    /// Stitches in the relation's position and global component offset (assigned
-    /// sequentially in relation order) and plans the shards over them.
-    pub(crate) fn with_offset(mut self, relation: usize, comp_offset: usize) -> Self {
-        self.comp_offset = comp_offset;
-        self.shards = Arc::new(plan_shards(relation, comp_offset, &self.components));
-        self
     }
 
     /// A copy of this entry sharing every [`Arc`]-held part (the cheap "clone").
@@ -545,89 +436,61 @@ impl RelationEntry {
             base: Arc::clone(&self.base),
             comp_of: Arc::clone(&self.comp_of),
             comp_offset: self.comp_offset,
-            shards: Arc::clone(&self.shards),
         }
     }
 }
 
-/// Key of a memoised answer: query fingerprint, family and execution mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct AnswerKey {
-    pub(crate) fingerprint: u64,
-    pub(crate) family: FamilyKind,
-    pub(crate) mode: AnswerMode,
-}
-
-/// What kind of result an [`AnswerKey`] caches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) enum AnswerMode {
-    /// Certain answers (rows in every preferred repair).
-    Certain,
-    /// Possible answers (rows in some preferred repair).
-    Possible,
-    /// The closed answer: the ground fast path's [`CqaOutcome`] and the walk's
-    /// [`ClosedProfile`].
-    Closed,
-}
-
-/// A memoised execution result.
-#[derive(Clone)]
-pub(crate) struct AnswerEntry {
-    /// The exact formula this entry answers. The memo key holds only a 64-bit
-    /// fingerprint, so hits re-check the formula to rule out hash collisions.
-    pub(crate) formula: pdqi_query::Formula,
-    /// The open answer: sorted, de-duplicated rows under their columns (empty for
-    /// closed answers).
-    pub(crate) answers: AnswerSet,
+/// What one query has computed under one family. Each part is filled by the read that
+/// computes it, and a later store keeps the parts it does not bring, so a read hits
+/// exactly when its part is here, whatever order the reads came in.
+#[derive(Clone, Default)]
+pub(crate) struct QueryParts {
+    /// The cost-based planner's physical plan.
+    pub(crate) plan: Option<Arc<pdqi_query::PhysicalPlan>>,
+    /// The certain answers: sorted, de-duplicated rows under their columns.
+    pub(crate) certain: Option<AnswerSet>,
+    /// The possible answers.
+    pub(crate) possible: Option<AnswerSet>,
     /// The polynomial ground fast path's closed outcome (`examined == 0`).
     pub(crate) ground: Option<CqaOutcome>,
-    /// The walk's closed profile; every other closed outcome is its replay. Each
-    /// closed part is filled by the path that computes it, and a later store keeps
-    /// the parts it does not bring, so a closed read hits exactly when its part is
-    /// here, whatever order the reads came in.
+    /// The walk's closed profile; every other closed outcome is its replay.
     pub(crate) profile: Option<ClosedProfile>,
-    /// Global component ids this result depends on (used by priority invalidation).
-    pub(crate) depends_on: Vec<usize>,
-    /// Snapshot relation indices the query mentions (used by mutation invalidation —
-    /// a conflict-free relation contributes no component to `depends_on`, so component
-    /// ids alone cannot tell whether a mutation touched the answer).
-    pub(crate) relations: Vec<usize>,
-    /// Whether the result depends on the priority at all.
-    pub(crate) priority_sensitive: bool,
 }
 
-/// A memoised physical plan: the cost-based planner's choice for one
-/// `(fingerprint, family)` on this snapshot, plus the invalidation footprint that
-/// decides whether a derived snapshot may keep it. Mirrors [`AnswerEntry`]: plans are
-/// carried across priority/mutation/schema derivations exactly when the cardinalities
-/// they were costed from survived, and re-costed otherwise.
-#[derive(Clone)]
-pub(crate) struct PlanEntry {
-    /// The exact formula this plan was costed for (the cache key holds only a 64-bit
-    /// fingerprint, so hits re-check the formula to rule out hash collisions).
-    pub(crate) formula: pdqi_query::Formula,
-    /// The chosen physical plan.
-    pub(crate) plan: Arc<pdqi_query::PhysicalPlan>,
-    /// Global component ids whose memoised repair counts fed the cost model.
-    pub(crate) depends_on: Vec<usize>,
-    /// Snapshot relation indices the query mentions (mutation invalidation; see
-    /// [`AnswerEntry::relations`]).
-    pub(crate) relations: Vec<usize>,
-    /// Whether the plan's cardinalities depend on the priority (non-`Rep` families).
-    pub(crate) priority_sensitive: bool,
+impl QueryParts {
+    /// These parts, completed with the ones they lack from `older`.
+    fn or(self, older: &QueryParts) -> QueryParts {
+        QueryParts {
+            plan: self.plan.or_else(|| older.plan.clone()),
+            certain: self.certain.or_else(|| older.certain.clone()),
+            possible: self.possible.or_else(|| older.possible.clone()),
+            ground: self.ground.or(older.ground),
+            profile: self.profile.or(older.profile),
+        }
+    }
 }
 
-/// Cap on memoised answers per snapshot. The component memo is naturally
-/// bounded (components × families), but answers grow with the number of distinct
-/// queries; past this limit the **oldest** entry is evicted (insertion order), which
-/// keeps long-lived sessions at a bounded footprint with O(1) amortised insertions while
-/// retaining the recently stored answers a serving workload is most likely to repeat.
+/// One memoised query under one family.
+struct QueryEntry {
+    /// The exact formula. The memo key holds only a 64-bit fingerprint, so reads
+    /// re-check the formula to rule out hash collisions.
+    formula: pdqi_query::Formula,
+    /// Snapshot indices of the relations the query reads: what a derivation decides
+    /// from whether the entry survives.
+    relations: Vec<usize>,
+    parts: QueryParts,
+}
+
+/// A query memo key: the query's fingerprint and the family it ran under.
+type QueryKey = (u64, FamilyKind);
+
+/// Cap on memoised queries per snapshot. The component memo is naturally bounded
+/// (components × families), but queries grow with the number of distinct queries;
+/// past this limit the **oldest** entry is evicted (insertion order), which keeps
+/// long-lived sessions at a bounded footprint with O(1) amortised insertions while
+/// retaining the recently stored answers and plans a serving workload is most likely
+/// to repeat.
 const ANSWER_MEMO_LIMIT: usize = 4096;
-
-/// Cap on memoised physical plans per snapshot. Plans are tiny (a few vectors of
-/// indices), so a simple insert-refusal bound suffices: past the cap new plans are
-/// handed back uncached and re-costed per execution.
-const PLAN_MEMO_LIMIT: usize = 4096;
 
 /// Hit/miss/eviction counters of a snapshot's memo, for observability and tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -644,77 +507,26 @@ pub struct MemoStats {
     pub answer_evictions: u64,
 }
 
-/// Number of lock stripes the component memo is split into. Global component ids map to
-/// stripes by `id % MEMO_STRIPES`; shard planning assigns ids contiguously, so the
-/// components of a hot shard spread across stripes instead of serialising on one lock
-/// when builds, warms and queries race.
-const MEMO_STRIPES: usize = 16;
+/// One component's memo slot: per [`FamilyKind`] (indexed by `kind as usize`), the
+/// component's preferred repairs. A cell is written once: when two computations race,
+/// the first value stays, keeping every outstanding [`Arc`] consistent.
+type ComponentSlot = [OnceLock<Arc<Vec<TupleSet>>>; FamilyKind::ALL.len()];
 
-/// One lock stripe of the component memo.
-type MemoStripe = RwLock<HashMap<(usize, FamilyKind), Arc<Vec<TupleSet>>>>;
-
-/// `(global component id, family)` → that component's preferred repairs, striped by
-/// component id (each shard's memo slice spans several stripes; see [`MEMO_STRIPES`]).
-pub(crate) struct ComponentMemo {
-    stripes: Vec<MemoStripe>,
-}
-
-impl Default for ComponentMemo {
-    fn default() -> Self {
-        ComponentMemo { stripes: (0..MEMO_STRIPES).map(|_| RwLock::default()).collect() }
-    }
-}
-
-impl ComponentMemo {
-    fn stripe(&self, comp: usize) -> &MemoStripe {
-        &self.stripes[comp % MEMO_STRIPES]
-    }
-
-    fn get(&self, key: &(usize, FamilyKind)) -> Option<Arc<Vec<TupleSet>>> {
-        self.stripe(key.0).read().expect("memo lock").get(key).cloned()
-    }
-
-    fn contains(&self, key: &(usize, FamilyKind)) -> bool {
-        self.stripe(key.0).read().expect("memo lock").contains_key(key)
-    }
-
-    /// Inserts `value` unless a racing computation beat this one to the key (both
-    /// computed the same deterministic result; the first stays, keeping every
-    /// outstanding `Arc` consistent).
-    pub(crate) fn insert_if_missing(&self, key: (usize, FamilyKind), value: &Arc<Vec<TupleSet>>) {
-        self.stripe(key.0)
-            .write()
-            .expect("memo lock")
-            .entry(key)
-            .or_insert_with(|| Arc::clone(value));
-    }
-
-    /// Visits every memoised entry, holding one stripe lock at a time.
-    pub(crate) fn for_each(&self, mut f: impl FnMut(&(usize, FamilyKind), &Arc<Vec<TupleSet>>)) {
-        for stripe in &self.stripes {
-            for (key, value) in stripe.read().expect("memo lock").iter() {
-                f(key, value);
-            }
-        }
-    }
-}
-
-/// The answer memo, bounded by [`ANSWER_MEMO_LIMIT`]: entries plus their insertion
+/// The query memo, bounded by [`ANSWER_MEMO_LIMIT`]: entries plus their insertion
 /// order. Invariant: `order` holds exactly the keys of `entries`, each once, oldest
 /// first.
 #[derive(Default)]
-struct AnswerMemo {
-    entries: HashMap<AnswerKey, Arc<AnswerEntry>>,
-    order: VecDeque<AnswerKey>,
+struct QueryMemo {
+    entries: HashMap<QueryKey, Arc<QueryEntry>>,
+    order: VecDeque<QueryKey>,
 }
 
+/// A snapshot's memo: one slot per global component id, sized when the snapshot is
+/// built or derived, and one entry per memoised query and family.
 #[derive(Default)]
 pub(crate) struct Memo {
-    pub(crate) components: ComponentMemo,
-    /// Memoised query executions.
-    answers: RwLock<AnswerMemo>,
-    /// Memoised physical plans, keyed by `(query fingerprint, family)`.
-    plans: RwLock<HashMap<(u64, FamilyKind), Arc<PlanEntry>>>,
+    components: Vec<ComponentSlot>,
+    queries: RwLock<QueryMemo>,
     component_hits: AtomicU64,
     component_misses: AtomicU64,
     answer_hits: AtomicU64,
@@ -723,56 +535,55 @@ pub(crate) struct Memo {
 }
 
 impl Memo {
-    /// Carries answer entries over from `parent` into this (fresh) memo, walking the
-    /// old insertion order so surviving entries keep their age. `keep` decides per
-    /// entry: `None` drops it, `Some(depends_on)` keeps it with the given (possibly
-    /// remapped) component dependencies — the entry is shared when they are unchanged
-    /// and re-assembled otherwise. A closed entry carries its outcome and its profile
-    /// together. Every derivation (priority revision, mutation delta) funnels through
-    /// here, so the entries/order invariant lives in one place.
-    pub(crate) fn carry_answers_from(
-        &self,
-        parent: &Memo,
-        mut keep: impl FnMut(&AnswerEntry) -> Option<Vec<usize>>,
-    ) {
-        let old = parent.answers.read().expect("memo lock");
-        let mut new = self.answers.write().expect("memo lock");
-        for key in old.order.iter() {
-            let answer = &old.entries[key];
-            let Some(depends_on) = keep(answer) else {
-                continue;
-            };
-            let entry = if depends_on == answer.depends_on {
-                Arc::clone(answer)
-            } else {
-                Arc::new(AnswerEntry { depends_on, ..AnswerEntry::clone(answer) })
-            };
-            new.order.push_back(*key);
-            new.entries.insert(*key, entry);
-        }
+    /// An empty memo over `components` global component ids.
+    pub(crate) fn new(components: usize) -> Memo {
+        let components = (0..components).map(|_| ComponentSlot::default()).collect();
+        Memo { components, ..Memo::default() }
     }
 
-    /// The plan-cache analogue of [`Memo::carry_answers_from`]: every derivation calls
-    /// both with the *same* keep closure, so a plan survives a swap exactly when the
-    /// memoised cardinalities it was costed from did — anything else is dropped here
-    /// and re-costed by the first execution to need it.
-    pub(crate) fn carry_plans_from(
+    /// The memoised preferred repairs of one global component under one family.
+    fn component(&self, global: usize, kind: FamilyKind) -> Option<Arc<Vec<TupleSet>>> {
+        self.components[global][kind as usize].get().cloned()
+    }
+
+    /// Every family memoised for one global component, with its preferred repairs.
+    pub(crate) fn memoised(
+        &self,
+        global: usize,
+    ) -> impl Iterator<Item = (FamilyKind, &Arc<Vec<TupleSet>>)> {
+        let cells = FamilyKind::ALL.into_iter().zip(&self.components[global]);
+        cells.filter_map(|(kind, cell)| Some((kind, cell.get()?)))
+    }
+
+    /// Stores a component's preferred repairs unless a racing computation stored them
+    /// first (both computed the same deterministic result), returning the stored value.
+    pub(crate) fn store_component(
+        &self,
+        global: usize,
+        kind: FamilyKind,
+        value: Arc<Vec<TupleSet>>,
+    ) -> Arc<Vec<TupleSet>> {
+        Arc::clone(self.components[global][kind as usize].get_or_init(|| value))
+    }
+
+    /// Carries query entries over from `parent` into this (fresh) memo, walking the
+    /// old insertion order so surviving entries keep their age; survivors are shared,
+    /// not copied. `keep` decides per entry from its family and the relations it reads.
+    /// Every derivation funnels through here, so the entries/order invariant lives in
+    /// one place.
+    pub(crate) fn carry_queries_from(
         &self,
         parent: &Memo,
-        mut keep: impl FnMut(&PlanEntry) -> Option<Vec<usize>>,
+        mut keep: impl FnMut(FamilyKind, &[usize]) -> bool,
     ) {
-        let old = parent.plans.read().expect("memo lock");
-        let mut new = self.plans.write().expect("memo lock");
-        for (key, plan) in old.iter() {
-            let Some(depends_on) = keep(plan) else {
-                continue;
-            };
-            let entry = if depends_on == plan.depends_on {
-                Arc::clone(plan)
-            } else {
-                Arc::new(PlanEntry { depends_on, ..PlanEntry::clone(plan) })
-            };
-            new.insert(*key, entry);
+        let old = parent.queries.read().expect("memo lock");
+        let mut new = self.queries.write().expect("memo lock");
+        for key in &old.order {
+            let entry = &old.entries[key];
+            if keep(key.1, &entry.relations) {
+                new.order.push_back(*key);
+                new.entries.insert(*key, Arc::clone(entry));
+            }
         }
     }
 }
@@ -930,9 +741,9 @@ impl EngineSnapshot {
         kind: FamilyKind,
     ) -> Arc<Vec<TupleSet>> {
         let entry = &self.inner.relations[rel];
-        let key = (entry.comp_offset + comp, kind);
+        let global = entry.comp_offset + comp;
         let memo = &self.inner.memo;
-        if let Some(cached) = memo.components.get(&key) {
+        if let Some(cached) = memo.component(global, kind) {
             memo.component_hits.fetch_add(1, Ordering::Relaxed);
             return cached;
         }
@@ -947,8 +758,7 @@ impl EngineSnapshot {
         let derive_eligible =
             matches!(kind, FamilyKind::Local | FamilyKind::SemiGlobal | FamilyKind::Global)
                 && !pdqi_query::naive_plan_forced();
-        let derived =
-            derive_eligible.then(|| memo.components.get(&(key.0, FamilyKind::Rep))).flatten();
+        let derived = derive_eligible.then(|| memo.component(global, FamilyKind::Rep)).flatten();
         let mis = match derived {
             Some(rep) => {
                 pdqi_query::planner::note_derived_component();
@@ -975,9 +785,7 @@ impl EngineSnapshot {
             }
             FamilyKind::Common => common_repairs_within(graph, priority, component, usize::MAX),
         };
-        let preferred = Arc::new(preferred);
-        memo.components.insert_if_missing(key, &preferred);
-        preferred
+        memo.store_component(global, kind, Arc::new(preferred))
     }
 
     /// The per-component choice lists of the requested relations, in enumeration order
@@ -1037,7 +845,7 @@ impl EngineSnapshot {
         for &rel in relations {
             let entry = &self.inner.relations[rel];
             for comp in 0..entry.components.len() {
-                if !self.inner.memo.components.contains(&(entry.comp_offset + comp, kind)) {
+                if self.inner.memo.component(entry.comp_offset + comp, kind).is_none() {
                     missing.push((rel, comp));
                 }
             }
@@ -1065,9 +873,8 @@ impl EngineSnapshot {
         let relations: Vec<RelationEntry> =
             self.inner.relations.iter().map(RelationEntry::share).collect();
         let by_name = self.inner.by_name.clone();
-        EngineSnapshot {
-            inner: Arc::new(SnapshotInner { relations, by_name, memo: Memo::default() }),
-        }
+        let memo = Memo::new(self.component_count());
+        EngineSnapshot { inner: Arc::new(SnapshotInner { relations, by_name, memo }) }
     }
 
     /// Visits every preferred repair of a single-relation snapshot; the callback may
@@ -1124,35 +931,6 @@ impl EngineSnapshot {
         clean_with_total_priority(entry.ctx.graph(), &entry.priority)
     }
 
-    /// Maps a global component id back to `(relation index, local component index)`.
-    pub(crate) fn locate_component(&self, global: usize) -> (usize, usize) {
-        for (rel, entry) in self.inner.relations.iter().enumerate() {
-            if global >= entry.comp_offset && global < entry.comp_offset + entry.components.len() {
-                return (rel, global - entry.comp_offset);
-            }
-        }
-        panic!("global component id {global} is out of range for this snapshot");
-    }
-
-    /// Total number of shards across all relations (each relation's components are
-    /// partitioned into contiguous, tuple-balanced [`Shard`]s at build time).
-    pub fn shard_count(&self) -> usize {
-        self.inner.relations.iter().map(|r| r.shards.len()).sum()
-    }
-
-    /// The shard plan of relation `name` (empty when the relation is conflict-free).
-    pub fn shards_of(&self, name: &str) -> Option<&[Shard]> {
-        self.entry_index(name).map(|i| self.inner.relations[i].shards.as_slice())
-    }
-
-    /// The shard plan of a single-relation snapshot.
-    ///
-    /// # Panics
-    /// If the snapshot holds more than one relation (use [`EngineSnapshot::shards_of`]).
-    pub fn shards(&self) -> &[Shard] {
-        &self.single().shards
-    }
-
     /// Estimated evaluation cost of one repair selection over the given relations, in
     /// tuples: the conflict-free base plus the average memoised per-component preferred
     /// repair size. Adaptive chunking uses this to convert the repair-product size into
@@ -1174,35 +952,32 @@ impl EngineSnapshot {
         (base + per_component).max(1)
     }
 
-    /// The global ids of every component of the given relations: the footprint a
-    /// memoised answer or plan over them depends on.
-    fn component_ids(&self, relations: &[usize]) -> Vec<usize> {
-        let entries = relations.iter().map(|&rel| &self.inner.relations[rel]);
-        entries
-            .flat_map(|entry| entry.comp_offset..entry.comp_offset + entry.components.len())
-            .collect()
+    /// Reads one part of `query`'s memo entry under `family`. The key carries only a
+    /// fingerprint, so the part is trusted only when the stored formula matches the
+    /// query's exactly — a 64-bit hash collision between distinct queries degrades to
+    /// a miss instead of a wrong answer.
+    pub(crate) fn memoised_part<T>(
+        &self,
+        query: &PreparedQuery,
+        family: FamilyKind,
+        read: impl FnOnce(&QueryParts) -> Option<T>,
+    ) -> Option<T> {
+        let queries = self.inner.memo.queries.read().expect("memo lock");
+        let entry = queries.entries.get(&(query.fingerprint(), family))?;
+        (entry.formula == *query.formula()).then(|| read(&entry.parts)).flatten()
     }
 
-    /// Looks up a memoised answer and reads the part `read` asks for; a hit is counted
-    /// only when that part is there (a closed entry holding only a ground outcome is a
-    /// miss for a profile). The key carries only a fingerprint, so a hit is trusted
-    /// only when the stored formula matches `formula` exactly — a 64-bit hash collision
-    /// between distinct queries degrades to a miss instead of a wrong answer.
+    /// [`EngineSnapshot::memoised_part`] for an answer, counted in [`MemoStats`]: a
+    /// hit only when the part `read` asks for is there (an entry holding only a ground
+    /// outcome is a miss for a profile).
     pub(crate) fn cached_answer<T>(
         &self,
-        key: &AnswerKey,
-        formula: &pdqi_query::Formula,
-        read: impl FnOnce(&AnswerEntry) -> Option<T>,
+        query: &PreparedQuery,
+        family: FamilyKind,
+        read: impl FnOnce(&QueryParts) -> Option<T>,
     ) -> Option<T> {
         let memo = &self.inner.memo;
-        let hit = memo
-            .answers
-            .read()
-            .expect("memo lock")
-            .entries
-            .get(key)
-            .filter(|entry| entry.formula == *formula)
-            .and_then(|entry| read(entry));
+        let hit = self.memoised_part(query, family, read);
         match &hit {
             Some(_) => memo.answer_hits.fetch_add(1, Ordering::Relaxed),
             None => memo.answer_misses.fetch_add(1, Ordering::Relaxed),
@@ -1210,46 +985,40 @@ impl EngineSnapshot {
         hit
     }
 
-    /// Stores a memoised answer. `relations` are the indices of the relations the query
-    /// mentions; the entry records their components so priority derivation can decide
-    /// whether to keep it. A closed answer keeps the parts of the entry it replaces
-    /// that it does not bring itself. The memo is bounded ([`ANSWER_MEMO_LIMIT`]): when
-    /// full, the oldest entry is evicted and counted in [`MemoStats::answer_evictions`].
-    pub(crate) fn store_answer(
+    /// Stores the parts a read of `query` under `family` computed, merged under the
+    /// write lock into the query's entry: the parts a store brings replace the stored
+    /// ones, the rest stay. `relations` are the indices of the relations the query
+    /// reads; derivations decide from them whether the entry survives. The memo is
+    /// bounded ([`ANSWER_MEMO_LIMIT`]): a new entry evicts the oldest when full,
+    /// counted in [`MemoStats::answer_evictions`].
+    pub(crate) fn store_query(
         &self,
-        key: AnswerKey,
-        formula: &pdqi_query::Formula,
+        query: &PreparedQuery,
+        family: FamilyKind,
         relations: &[usize],
-        answers: AnswerSet,
-        ground: Option<CqaOutcome>,
-        profile: Option<ClosedProfile>,
-    ) -> Arc<AnswerEntry> {
-        let mut entry = AnswerEntry {
-            formula: formula.clone(),
-            answers,
-            ground,
-            profile,
-            depends_on: self.component_ids(relations),
-            relations: relations.to_vec(),
-            priority_sensitive: key.family != FamilyKind::Rep,
-        };
-        let mut answers = self.inner.memo.answers.write().expect("memo lock");
-        if let Some(old) = answers.entries.get(&key).filter(|old| old.formula == *formula) {
-            entry.ground = entry.ground.or(old.ground);
-            entry.profile = entry.profile.or(old.profile);
-        }
-        let entry = Arc::new(entry);
-        if !answers.entries.contains_key(&key) {
-            while answers.entries.len() >= ANSWER_MEMO_LIMIT {
-                let Some(oldest) = answers.order.pop_front() else { break };
-                if answers.entries.remove(&oldest).is_some() {
-                    self.inner.memo.answer_evictions.fetch_add(1, Ordering::Relaxed);
+        parts: QueryParts,
+    ) {
+        let memo = &self.inner.memo;
+        let key = (query.fingerprint(), family);
+        let formula = query.formula();
+        let mut queries = memo.queries.write().expect("memo lock");
+        let parts = match queries.entries.get(&key) {
+            Some(old) if old.formula == *formula => parts.or(&old.parts),
+            // A fingerprint collision: the new query takes the key over.
+            Some(_) => parts,
+            None => {
+                while queries.entries.len() >= ANSWER_MEMO_LIMIT {
+                    let Some(oldest) = queries.order.pop_front() else { break };
+                    if queries.entries.remove(&oldest).is_some() {
+                        memo.answer_evictions.fetch_add(1, Ordering::Relaxed);
+                    }
                 }
+                queries.order.push_back(key);
+                parts
             }
-            answers.order.push_back(key);
-        }
-        answers.entries.insert(key, Arc::clone(&entry));
-        entry
+        };
+        let entry = QueryEntry { formula: formula.clone(), relations: relations.to_vec(), parts };
+        queries.entries.insert(key, Arc::new(entry));
     }
 
     /// The memoised preferred-repair count of one component, when the `(component,
@@ -1261,65 +1030,22 @@ impl EngineSnapshot {
         comp: usize,
         kind: FamilyKind,
     ) -> Option<usize> {
-        let entry = &self.inner.relations[rel];
-        self.inner.memo.components.get(&(entry.comp_offset + comp, kind)).map(|sets| sets.len())
+        let global = self.inner.relations[rel].comp_offset + comp;
+        self.inner.memo.component(global, kind).map(|sets| sets.len())
     }
 
-    /// Looks up a memoised physical plan; like [`EngineSnapshot::cached_answer`], a
-    /// fingerprint hit is trusted only when the stored formula matches exactly.
-    pub(crate) fn cached_plan(
-        &self,
-        fingerprint: u64,
-        family: FamilyKind,
-        formula: &pdqi_query::Formula,
-    ) -> Option<Arc<PlanEntry>> {
-        self.inner
-            .memo
-            .plans
-            .read()
-            .expect("memo lock")
-            .get(&(fingerprint, family))
-            .filter(|entry| entry.formula == *formula)
-            .cloned()
-    }
-
-    /// Caches a costed physical plan under `(fingerprint, family)`, recording the
-    /// component/relation footprint derivations use to decide whether it survives a
-    /// swap. Bounded ([`PLAN_MEMO_LIMIT`]): at capacity the plan is handed back
-    /// uncached instead of evicting.
-    pub(crate) fn store_plan(
-        &self,
-        fingerprint: u64,
-        family: FamilyKind,
-        formula: &pdqi_query::Formula,
-        relations: &[usize],
-        plan: pdqi_query::PhysicalPlan,
-    ) -> Arc<PlanEntry> {
-        let entry = Arc::new(PlanEntry {
-            formula: formula.clone(),
-            plan: Arc::new(plan),
-            depends_on: self.component_ids(relations),
-            relations: relations.to_vec(),
-            priority_sensitive: family != FamilyKind::Rep,
-        });
-        let mut plans = self.inner.memo.plans.write().expect("memo lock");
-        let key = (fingerprint, family);
-        if plans.len() < PLAN_MEMO_LIMIT || plans.contains_key(&key) {
-            plans.insert(key, Arc::clone(&entry));
-        }
-        entry
-    }
-
-    /// Whether the plan cache holds a costed plan for this query fingerprint and
-    /// family — the invalidation-test observability hook: after a swap, exactly the
-    /// plans whose cardinality footprint the swap left alone should still be here.
+    /// Whether the memo holds a costed plan for this query fingerprint and family — the
+    /// invalidation-test observability hook: after a swap, exactly the plans whose
+    /// cardinality footprint the swap left alone should still be here.
     pub fn has_cached_plan(&self, fingerprint: u64, family: FamilyKind) -> bool {
-        self.inner.memo.plans.read().expect("memo lock").contains_key(&(fingerprint, family))
+        let queries = self.inner.memo.queries.read().expect("memo lock");
+        queries.entries.get(&(fingerprint, family)).is_some_and(|entry| entry.parts.plan.is_some())
     }
 
     /// Number of memoised physical plans on this snapshot.
     pub fn cached_plan_count(&self) -> usize {
-        self.inner.memo.plans.read().expect("memo lock").len()
+        let queries = self.inner.memo.queries.read().expect("memo lock");
+        queries.entries.values().filter(|entry| entry.parts.plan.is_some()).count()
     }
 }
 
@@ -1487,6 +1213,13 @@ mod tests {
         // One insert past the bound: the oldest (first) entry was evicted.
         let stats = snapshot.memo_stats();
         assert_eq!(stats.answer_evictions, 1);
+        // A plan lives in its query's entry: the newest query's plan is cached and the
+        // oldest one's left with its answer. (No plan exists when the naive one is forced.)
+        if !pdqi_query::naive_plan_forced() {
+            assert!(snapshot.has_cached_plan(last.fingerprint(), FamilyKind::Rep));
+            assert!(!snapshot.has_cached_plan(oldest.fingerprint(), FamilyKind::Rep));
+            assert_eq!(snapshot.cached_plan_count(), ANSWER_MEMO_LIMIT);
+        }
         let hits_before = stats.answer_hits;
         // The youngest entries are still served from the memo...
         second.execute(&snapshot, FamilyKind::Rep, Semantics::Possible).unwrap();
@@ -1500,6 +1233,46 @@ mod tests {
         assert_eq!(stats.answer_evictions, 2);
         last.execute(&snapshot, FamilyKind::Rep, Semantics::Possible).unwrap();
         assert_eq!(snapshot.memo_stats().answer_hits, hits_before + 3);
+    }
+
+    #[test]
+    fn concurrent_reads_of_one_query_keep_each_others_parts() {
+        use crate::{BatchExecutor, BatchRequest, BatchResponse, PreparedQuery, Semantics};
+        let ctx = example1();
+        let open = Arc::new(PreparedQuery::parse("EXISTS d,s,r . Mgr(x,d,s,r)").unwrap());
+        let ground = Arc::new(PreparedQuery::parse("Mgr('Mary','R&D',40,3)").unwrap());
+        let rep = FamilyKind::Rep;
+        let requests = [
+            BatchRequest::execute(Arc::clone(&open), rep, Semantics::Certain),
+            BatchRequest::execute(Arc::clone(&open), rep, Semantics::Possible),
+            BatchRequest::consistent_answer(Arc::clone(&ground), rep),
+            BatchRequest::profile(Arc::clone(&ground), rep),
+        ];
+        let render = |responses: Vec<Result<BatchResponse, _>>| -> Vec<String> {
+            let render = |response| match response {
+                BatchResponse::Rows(answers) => format!("{:?}", answers.rows()),
+                BatchResponse::Outcome(outcome) => format!("{outcome:?}"),
+                BatchResponse::Profile(profile) => format!("{profile:?}"),
+            };
+            responses.into_iter().map(|response| render(response.unwrap())).collect()
+        };
+        let sequential = Parallelism::sequential();
+        let expected =
+            render(BatchExecutor::with_parallelism(snapshot_of(&ctx), sequential).run(&requests));
+        for _ in 0..8 {
+            let snapshot = snapshot_of(&ctx);
+            let executor =
+                BatchExecutor::with_parallelism(snapshot.clone(), Parallelism::threads(4));
+            assert_eq!(render(executor.run(&requests)), expected);
+            // The racing stores went into one entry per query, each keeping the parts
+            // the others brought: running the batch again is a memo hit per request.
+            assert_eq!(snapshot.inner.memo.queries.read().unwrap().entries.len(), 2);
+            let before = snapshot.memo_stats();
+            assert_eq!(render(executor.run(&requests)), expected);
+            let after = snapshot.memo_stats();
+            assert_eq!(after.answer_misses, before.answer_misses);
+            assert_eq!(after.answer_hits, before.answer_hits + requests.len() as u64);
+        }
     }
 
     #[test]
@@ -1575,7 +1348,6 @@ mod tests {
                 let s = sequential.context_of(&name).unwrap();
                 let p = parallel.context_of(&name).unwrap();
                 assert_eq!(s.graph().edges(), p.graph().edges(), "{name} edges");
-                assert_eq!(parallel.shards_of(&name), sequential.shards_of(&name), "{name}");
             }
             assert_eq!(parallel.count_repairs(), sequential.count_repairs());
             // Enumeration order (not just the set of repairs) must match.
@@ -1612,32 +1384,6 @@ mod tests {
                 .build_with(parallelism);
             assert!(matches!(wrong_len, Err(BuildError::AnnotationLength { .. })));
         }
-    }
-
-    #[test]
-    fn shard_plans_are_contiguous_tuple_balanced_covers() {
-        // 40 two-tuple components: the plan caps at MAX_SHARDS_PER_RELATION shards
-        // covering every component exactly once, in order.
-        let ctx = example4(40);
-        let snapshot = snapshot_of(&ctx);
-        let shards = snapshot.shards();
-        assert_eq!(shards.len(), MAX_SHARDS_PER_RELATION);
-        assert_eq!(snapshot.shard_count(), shards.len());
-        let mut next = 0usize;
-        for shard in shards {
-            assert_eq!(shard.relation(), 0);
-            assert_eq!(shard.component_range().start, next);
-            assert!(shard.component_count() >= 1);
-            assert_eq!(shard.tuple_count(), 2 * shard.component_count());
-            next = shard.component_range().end;
-        }
-        assert_eq!(next, snapshot.component_count());
-        // Fewer components than the cap: one shard per component.
-        let small = snapshot_of(&example4(3));
-        assert_eq!(small.shards().len(), 3);
-        // A conflict-free relation has no shards.
-        let consistent = snapshot_of(&example4(0));
-        assert!(consistent.shards().is_empty());
     }
 
     #[test]

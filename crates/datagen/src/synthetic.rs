@@ -131,9 +131,9 @@ fn named_multi_chain_instance(
 /// geometrically from `max_length` down to 2 (chain `i` has `max(2, max_length >> i)`
 /// tuples). The conflict graph has exactly `chains` non-trivial components of wildly
 /// different sizes, so per-component preferred-repair counts — and with them the chunks
-/// of the adaptive repair-product split and the shard plan of the sharded builder — are
-/// heavily skewed: the canonical adversary for work-stealing schedulers that assume
-/// uniform components.
+/// of the adaptive repair-product split and the largest-first component jobs of the
+/// builder and of revalidation — are heavily skewed: the canonical adversary for
+/// work-stealing schedulers that assume uniform components.
 pub fn skewed_chain_instance(chains: usize, max_length: usize) -> (RelationInstance, FdSet) {
     assert!(max_length >= 2, "chains need at least 2 tuples to conflict");
     let schema = abcd_schema();

@@ -387,7 +387,15 @@ impl<'a> Evaluator<'a> {
             Formula::Atom(atom) => self.eval_atom(atom, env),
             Formula::Comparison(cmp) => self.eval_comparison(cmp, env),
             Formula::Not(inner) => Ok(!self.eval(inner, env, domain)?),
-            Formula::And(a, b) => Ok(self.eval(a, env, domain)? && self.eval(b, env, domain)?),
+            // A false conjunct decides the conjunction whichever side it is on, so an
+            // error in the other conjunct only surfaces when nothing rejects the binding.
+            Formula::And(a, b) => match self.eval(a, env, domain) {
+                Ok(holds) => Ok(holds && self.eval(b, env, domain)?),
+                Err(e) => match self.eval(b, env, domain) {
+                    Ok(false) => Ok(false),
+                    _ => Err(e),
+                },
+            },
             Formula::Or(a, b) => Ok(self.eval(a, env, domain)? || self.eval(b, env, domain)?),
             Formula::Implies(a, b) => Ok(!self.eval(a, env, domain)? || self.eval(b, env, domain)?),
             Formula::Exists(vars, inner) => self.eval_exists(vars, inner, env, domain),
@@ -436,24 +444,36 @@ impl<'a> Evaluator<'a> {
         domain: &[Value],
     ) -> Result<bool, QueryError> {
         // 1. Evaluate (and drop) every conjunct whose variables are all bound; fail fast.
+        //    A conjunct that raises an error stays pending until no atom is left to
+        //    match: a binding some atom rejects is no answer, so its error never
+        //    surfaces — what the vectorized join does, whatever the conjunct order.
         let mut pending: Vec<&Formula> = Vec::new();
+        let mut failure = None;
         for conjunct in conjuncts {
             if conjunct.free_vars().iter().all(|v| env.contains_key(v)) {
-                if !self.eval(conjunct, env, domain)? {
-                    return Ok(false);
+                match self.eval(conjunct, env, domain) {
+                    Ok(true) => {}
+                    Ok(false) => return Ok(false),
+                    Err(e) => {
+                        failure.get_or_insert(e);
+                        pending.push(conjunct);
+                    }
                 }
             } else {
                 pending.push(conjunct);
             }
-        }
-        if pending.is_empty() {
-            return Ok(true);
         }
         // 2. Prefer an atom with unbound variables: its matching tuples drive the search.
         let next_atom = pending.iter().find_map(|f| match f {
             Formula::Atom(atom) => Some(atom),
             _ => None,
         });
+        if let (None, Some(e)) = (next_atom, failure) {
+            return Err(e);
+        }
+        if pending.is_empty() {
+            return Ok(true);
+        }
         if let Some(atom) = next_atom {
             let view = self
                 .relations
@@ -789,6 +809,58 @@ mod tests {
                 scalar.answer_rows(&f).unwrap(),
                 "{text}"
             );
+        }
+    }
+
+    #[test]
+    fn bindings_an_atom_rejects_never_raise_errors() {
+        /// Restores the path choice the process started with, even on a failed assert.
+        struct Restore(bool);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                crate::vector::force_scalar_eval(self.0);
+            }
+        }
+        let _restore = Restore(crate::vector::scalar_eval_forced());
+        // Ints and names share the active domain, so the scalar path also binds `a` to
+        // names; only the atom may reject those bindings.
+        let schema = Arc::new(
+            RelationSchema::from_pairs("R", &[("A", ValueType::Int), ("B", ValueType::Name)])
+                .unwrap(),
+        );
+        let rows = vec![vec![Value::int(1), "v".into()], vec![Value::int(-1), "w".into()]];
+        let r = RelationInstance::from_rows(schema, rows).unwrap();
+        let columns = ColumnarView::build(&r);
+        let mut eval = Evaluator::new();
+        eval.add_relation_columnar(&r, &columns);
+        let negative = BTreeSet::from([vec![Value::int(-1)]]);
+        for force in [true, false] {
+            crate::vector::force_scalar_eval(force);
+            for text in [
+                "EXISTS b . R(a,b) AND NOT a > 0",
+                "EXISTS b . NOT a > 0 AND R(a,b)",
+                "EXISTS b . R(a,b) AND (a < 0 OR a > 5)",
+                "EXISTS b . (a < 0 OR a > 5) AND R(a,b)",
+                "EXISTS b . R(a,b) AND a < 0",
+                "EXISTS b . a < 0 AND R(a,b)",
+            ] {
+                let rows = eval.answer_rows(&parse_formula(text).unwrap());
+                assert_eq!(rows.unwrap(), negative, "{text} (scalar forced: {force})");
+            }
+            // The same without a quantifier: the conjunction binds `a` and `b` itself.
+            let row = BTreeSet::from([vec![Value::int(-1), "w".into()]]);
+            for text in ["R(a,b) AND NOT a > 0", "NOT a > 0 AND R(a,b)"] {
+                let rows = eval.answer_rows(&parse_formula(text).unwrap());
+                assert_eq!(rows.unwrap(), row, "{text} (scalar forced: {force})");
+            }
+            // A comparison that is ill-typed on a stored row still fails on both paths.
+            for text in ["EXISTS a . R(a,b) AND b > 0", "EXISTS a . b > 0 AND R(a,b)"] {
+                let rows = eval.answer_rows(&parse_formula(text).unwrap());
+                assert!(
+                    matches!(rows, Err(QueryError::TypeError(_))),
+                    "{text} (scalar forced: {force}): {rows:?}"
+                );
+            }
         }
     }
 

@@ -118,7 +118,7 @@ pub use pdqi_core::{
     BatchRequest, BatchResponse, BuildError, Change, ChangeError, ChangeReport, ChangeScope,
     CqaOutcome, EngineBuilder, EngineSnapshot, FamilyKind, MemoStats, Mutation, Parallelism,
     PhysicalPlan, PlanStats, PreparedQuery, RegistryStats, RepairContext, ReportStrategy,
-    RouteSpec, Semantics, Shard, ShardPlan, SnapshotLease, SnapshotRegistry, SubscribeOptions,
+    RouteSpec, Semantics, ShardPlan, SnapshotLease, SnapshotRegistry, SubscribeOptions,
     SubscribeStats, Subscribed, SubscriptionEvent, SubscriptionInfo, SubscriptionManager,
     TableStats, WindowStats, WriteCoalescer, WriteError, WriteFrame, WriteOutcome, WriteStats,
     MAX_THREADS,

@@ -3,8 +3,8 @@
 //! The pinned acceptance properties:
 //!
 //! * [`EngineSnapshot::with_mutations`] is **bit-identical to a fresh build** of the
-//!   mutated row list — conflict graph, component order and global ids, shard plans,
-//!   per-family preferred repairs in enumeration order, open and closed answers
+//!   mutated row list — conflict graph, component order and global ids, per-family
+//!   preferred repairs in enumeration order, open and closed answers
 //!   (including `examined`) — at every degree of parallelism, including mutations that
 //!   **split** a component (deleting a cut tuple) and **merge** two (inserting a
 //!   bridging tuple);
@@ -80,7 +80,6 @@ fn assert_bit_identical(derived: &EngineSnapshot, fresh: &EngineSnapshot, contex
             assert_eq!(d.instance().tuple_unchecked(id), tuple, "{context}: {name} tuple {id}");
         }
         assert_eq!(d.graph().edges(), f.graph().edges(), "{context}: {name} edges");
-        assert_eq!(derived.shards_of(&name), fresh.shards_of(&name), "{context}: {name} shards");
         assert_eq!(
             derived.priority_of(&name).unwrap().edges(),
             fresh.priority_of(&name).unwrap().edges(),
